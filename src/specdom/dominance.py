@@ -23,8 +23,8 @@ from typing import Iterator
 
 from .builders import ThresholdGraph, brouwer_extremal
 from .graphs import Graph, encode_graph6
-from .spectra import (DEFAULT_TOL, OFF_TOL, CheckReport, Spectrum, check_brouwer,
-                      check_gmb, eigenvalues, energy_count, laplacian_energy,
+from .spectra import (DEFAULT_TOL, CheckReport, Spectrum, confirm_spectrum,
+                      eigenvalues, energy_count, laplacian_energy, report_for,
                       report_from_bounds)
 
 ENUMERATION_GUARD = 10_000_000
@@ -159,10 +159,14 @@ def _oracle_table(n: int, m: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...
     return tuple(maxima), tuple(witnesses)
 
 
-def _std_report(g: Graph, spec: Spectrum, tol: float,
-                witnesses: tuple[DominanceWitness, ...]) -> CheckReport:
-    bounds = tuple(w.prefix_sum for w in witnesses)
-    return report_from_bounds("std", g.n, g.m, tol, spec.prefix_sums(), bounds)
+def _reports(g: Graph, spec: Spectrum, tol: float,
+             witnesses: tuple[DominanceWitness, ...]
+             ) -> tuple[CheckReport, CheckReport, CheckReport]:
+    """The gmb, brouwer and std reports, all from one spectrum."""
+    prefix = spec.prefix_sums()
+    std = report_from_bounds("std", g.n, g.m, tol, prefix,
+                             tuple(w.prefix_sum for w in witnesses))
+    return report_for("gmb", g, prefix, tol), report_for("brouwer", g, prefix, tol), std
 
 
 def _energy_fields(g: Graph, spec: Spectrum, tol: float):
@@ -180,10 +184,10 @@ def _energy_fields(g: Graph, spec: Spectrum, tol: float):
 def _assemble(g: Graph, tol: float, graph_id: str | None, route: str,
               witnesses: tuple[DominanceWitness, ...]) -> DominanceReport:
     spec = eigenvalues(g)
-    std = _std_report(g, spec, tol, witnesses)
-    if not std.holds:
-        spec = eigenvalues(g, off_tol=OFF_TOL / 100.0)
-        std = _std_report(g, spec, tol, witnesses)
+    gmb, brouwer, std = _reports(g, spec, tol, witnesses)
+    if not (gmb.holds and brouwer.holds and std.holds):
+        spec = confirm_spectrum(g)
+        gmb, brouwer, std = _reports(g, spec, tol, witnesses)
     ewit, pair, eholds = _energy_fields(g, spec, tol)
     return DominanceReport(
         graph_id=graph_id if graph_id is not None else encode_graph6(g),
@@ -191,8 +195,8 @@ def _assemble(g: Graph, tol: float, graph_id: str | None, route: str,
         m=g.m,
         spectrum=spec.values,
         energy=laplacian_energy(spec),
-        gmb=check_gmb(g, tol),
-        brouwer=check_brouwer(g, tol),
+        gmb=gmb,
+        brouwer=brouwer,
         std=std,
         witnesses=witnesses,
         energy_witness_cols=ewit.cols,
@@ -228,14 +232,14 @@ def energy_witness(g: Graph, tol: float = DEFAULT_TOL
 
     The witness is the prefix-extremal threshold graph at k*, the number
     of eigenvalues above the mean.  If its energy falls short even after
-    re-solving at tight tolerance, that contradicts prefix dominance at
-    k* and raises BrouwerViolationError.
+    the confirmer's re-solve, that contradicts prefix dominance at k* and
+    raises BrouwerViolationError.
     """
     spec = eigenvalues(g)
     t, pair, holds = _energy_fields(g, spec, tol)
     if holds:
         return t, pair
-    tight = eigenvalues(g, off_tol=OFF_TOL / 100.0)
+    tight = confirm_spectrum(g)
     t, pair, holds = _energy_fields(g, tight, tol)
     if holds:
         return t, pair

@@ -1,15 +1,15 @@
 """Bulk scanning of graph streams against spectral bounds.
 
 The stream is cut into fixed-size chunks before any worker is involved,
-every chunk is processed by the same batched kernel (stacked Laplacians,
-one batched Jacobi eigensolve, exact integer bounds), and chunk results
-are reassembled in input order.  The summary is therefore byte-identical
-whatever the worker count; wall time and worker count are reported
-separately and never enter the deterministic payload.
+every chunk is processed by the same batched kernel (Laplacians scattered
+from the edge bits, one batched LAPACK eigvalsh, exact integer bounds),
+and chunk results are reassembled in input order.  The summary is
+therefore byte-identical whatever the worker count; wall time and worker
+count are reported separately and never enter the deterministic payload.
 
-Flagged violations are re-verified one graph at a time with a 100x
-tighter eigensolver before they are believed; re-checks that land back
-inside the tolerance are demoted to near-equality events.
+Flagged violations are re-verified one graph at a time by the Jacobi
+confirmer at a 100x tighter tolerance before they are believed; re-checks
+that land back inside the tolerance are demoted to near-equality events.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .graphs import Graph, Graph6Error, decode_graph6, encode_graph6
-from .spectra import (DEFAULT_TOL, NEAR_EQUALITY, OFF_TOL, eigenvalues,
-                      jacobi_eigenvalues_batch)
+from .spectra import (DEFAULT_TOL, NEAR_EQUALITY, confirm_spectrum, report_for,
+                      snap_zeros)
 
 CHUNK = 4096
 NEAR_CAP = 10000
@@ -110,20 +110,24 @@ class ScanSummary:
                 f"({self.jobs} {worker})\n")
 
 
-@lru_cache(maxsize=None)
-def _edge_basis(n: int) -> np.ndarray:
-    """(P, n, n) stack: basis[p] is the Laplacian of the single edge p."""
-    nbits = n * (n - 1) // 2
-    basis = np.zeros((nbits, n, n))
-    p = 0
-    for j in range(1, n):
-        for i in range(j):
-            basis[p, i, i] = 1.0
-            basis[p, j, j] = 1.0
-            basis[p, i, j] = -1.0
-            basis[p, j, i] = -1.0
-            p += 1
-    return basis
+@lru_cache(maxsize=64)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of each edge bit in graph6 order: bit p is the 0-based
+    pair (i, j), i < j, column-major, so rows hold j and cols hold i."""
+    return np.tril_indices(n, -1)
+
+
+def _laplacians(n: int, bit_rows: np.ndarray) -> np.ndarray:
+    """(B, n, n) Laplacians scattered from (B, P) edge bits in {0, 1}."""
+    rows, cols = _pair_index(n)
+    # negate only after the cast: -uint8 wraps to 255
+    off = -bit_rows.astype(float)
+    lap = np.zeros((bit_rows.shape[0], n, n))
+    lap[:, rows, cols] = off
+    lap[:, cols, rows] = off
+    diag = np.arange(n)
+    lap[:, diag, diag] = -lap.sum(axis=2)
+    return lap
 
 
 def _kahan_cumsum(mat: np.ndarray) -> np.ndarray:
@@ -159,10 +163,10 @@ def _kernel(n: int, bit_rows: np.ndarray, checks: Sequence[str]):
     bit_rows is (B, P) in {0, 1}.  Returns, per check, integer arrays
     (min_margin, worst_k) of shape (B,), plus the (B,) edge counts.
     """
-    lap = np.tensordot(bit_rows.astype(float), _edge_basis(n), axes=(1, 0))
+    lap = _laplacians(n, bit_rows)
     m = bit_rows.sum(axis=1).astype(np.int64)
     degs = np.einsum("bii->bi", lap).astype(np.int64)
-    eigs = jacobi_eigenvalues_batch(lap)
+    eigs = snap_zeros(np.linalg.eigvalsh(lap)[:, ::-1])
     lam_prefix = _kahan_cumsum(eigs)
     ks = np.arange(1, n + 1, dtype=np.int64)
     conj = (degs[:, None, :] >= ks[None, :, None]).sum(axis=2)
@@ -179,26 +183,9 @@ def _kernel(n: int, bit_rows: np.ndarray, checks: Sequence[str]):
 
 
 def _confirm(g: Graph, check: str) -> tuple[float, int]:
-    """Scalar re-check at 100x tighter solver tolerance, exact bounds."""
-    spec = eigenvalues(g, off_tol=OFF_TOL / 100.0)
-    prefix = spec.prefix_sums()
-    if check == "gmb":
-        from .partitions import conjugate_counts
-
-        conj = conjugate_counts(g.degree_sequence().values, g.n)
-        bounds = []
-        running = 0
-        for v in conj:
-            running += v
-            bounds.append(running)
-    elif check == "brouwer":
-        bounds = [g.m + k * (k + 1) // 2 for k in range(1, g.n + 1)]
-    else:
-        bounds = [min(k * g.n, g.m + k * (k + 1) // 2, 2 * g.m)
-                  for k in range(1, g.n + 1)]
-    margins = [bounds[i] - prefix[i] for i in range(g.n)]
-    worst = min(range(g.n), key=lambda i: margins[i])
-    return margins[worst], worst + 1
+    """Re-check by the Jacobi confirmer against exact bounds."""
+    report = report_for(check, g, confirm_spectrum(g).prefix_sums(), 0.0)
+    return report.min_margin, report.worst_k
 
 
 def _scan_chunk(payload) -> tuple[int, list, list, list]:

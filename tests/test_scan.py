@@ -1,11 +1,16 @@
 """Streaming and exhaustive scans: counters, events, exit codes, parallelism."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
-from specdom.scan import (GEN_ALL_MAX, NEAR_CAP, ScanSummary, _resolve_jobs,
-                          _validate_checks, scan_all_graphs, scan_graph6_lines)
+from specdom.graphs import Graph, encode_graph6
+from specdom.scan import (GEN_ALL_MAX, NEAR_CAP, ScanSummary, _kernel, _laplacians,
+                          _resolve_jobs, _validate_checks, scan_all_graphs,
+                          scan_graph6_lines)
+from specdom.spectra import laplacian
 
 C8 = "GhCGKC"
 K6_PLUS_2 = "G~~w??"
@@ -76,6 +81,13 @@ class TestEvents:
         assert v.k == 3
         assert math.isclose(v.margin, 6 - 2 * math.sqrt(2), abs_tol=1e-9)
 
+    def test_std_violation_confirmed(self):
+        # the std bound meets S_k = 2m = 16 at k = 7 and 8, margin zero
+        s = scan_graph6_lines([C8], checks=("std",), tol=-4.0)
+        v = s.violations[0]
+        assert v.check == "std" and v.k in (7, 8)
+        assert abs(v.margin) < 1e-9
+
     def test_one_event_per_record_and_check(self):
         # with tol=-4 both checks flag each copy exactly once, at the argmin k
         s = scan_graph6_lines([C8, C8], checks=("gmb", "brouwer"), tol=-4.0)
@@ -89,6 +101,37 @@ class TestEvents:
         out = s.stdout_text()
         assert "near-equality: 1" in out
         assert f"NEAR {K6_PLUS_2} check=brouwer k=5" in out
+
+
+def bit_row(n, bits):
+    return [(bits >> p) & 1 for p in range(n * (n - 1) // 2)]
+
+
+class TestKernel:
+    def test_scattered_laplacians_match_scalar(self):
+        rng = random.Random(77)
+        for n in (1, 2, 7, 30):
+            graphs = [Graph(n, rng.getrandbits(n * (n - 1) // 2)) for _ in range(5)]
+            rows = np.array([bit_row(n, g.bits) for g in graphs], dtype=np.uint8)
+            stack = _laplacians(n, rows)
+            for g, lap in zip(graphs, stack):
+                assert np.array_equal(lap, laplacian(g))
+
+    def test_empty_batch(self):
+        rows = np.zeros((0, 21), dtype=np.uint8)
+        assert _laplacians(7, rows).shape == (0, 7, 7)
+        per_check, m = _kernel(7, rows, ("gmb", "brouwer", "std"))
+        assert m.shape == (0,)
+        for margins, ks in per_check.values():
+            assert margins.shape == ks.shape == (0,)
+
+    def test_n150_record(self):
+        # n = 150: an edge-basis Laplacian build would need a 2 GB stack
+        n = 150
+        g = Graph(n, random.Random(150).getrandbits(n * (n - 1) // 2))
+        s = scan_graph6_lines([encode_graph6(g)], checks=("gmb", "brouwer", "std"))
+        assert s.records == 1
+        assert not s.errors and not s.violations
 
 
 class TestExhaustive:

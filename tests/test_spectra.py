@@ -1,7 +1,8 @@
 """Eigensolver, spectra, energies, and inequality checks.
 
-numpy.linalg.eigvalsh serves as the independent eigenvalue oracle; the
-Jacobi solver must agree with it without ever calling it.
+numpy.linalg.eigvalsh is the fast path behind ``eigenvalues``; the cyclic
+Jacobi solver is the confirmer it is checked against, and Jacobi itself
+must agree with eigvalsh without ever calling it.
 """
 
 import math
@@ -102,6 +103,30 @@ class TestEigenvalues:
         for _ in range(50):
             g = random_graph(rng, rng.randint(1, 9))
             assert eigenvalues(g).values[-1] >= 0.0
+
+    def test_matches_jacobi_on_random_graphs(self):
+        # the production path and the eigvalsh oracle are one routine, so
+        # the independent cross-check is the Jacobi confirmer
+        rng = random.Random(4242)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 40))
+            fast = eigenvalues(g).values
+            slow = jacobi_eigenvalues(laplacian(g))
+            assert np.allclose(fast, slow, rtol=0.0, atol=1e-9)
+
+    def test_zero_eigenvalues_snapped_exactly(self):
+        # K6 plus 2 isolated nodes: three exact zeros, no rounding noise
+        vals = eigenvalues(complete_plus_isolated(6, 8)).values
+        assert vals[-3:] == (0.0, 0.0, 0.0)
+        assert vals[-4] > 1.0
+
+    def test_off_tol_selects_jacobi(self, monkeypatch):
+        def no_lapack(_):
+            raise AssertionError("eigvalsh called on the Jacobi path")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+        vals = eigenvalues(cycle(8), off_tol=1e-14).values
+        assert np.allclose(vals, cycle_spectrum(8).values, rtol=0.0, atol=1e-12)
 
     def test_merris_on_thresholds(self):
         from specdom import ThresholdGraph
