@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .builders import ThresholdGraph, brouwer_extremal
+from .builders import ThresholdGraph, brouwer_extremal, brouwer_extremal_plan
 from .graphs import Graph, encode_graph6
-from .spectra import (DEFAULT_TOL, CheckReport, Spectrum, confirm_spectrum,
-                      eigenvalues, energy_count, laplacian_energy, report_for,
-                      report_from_bounds)
+from .spectra import (CONFIRM_TOL, DEFAULT_TOL, CheckReport, Spectrum,
+                      eigenvalues, energy_count, laplacian_energy, reports)
 
 ENUMERATION_GUARD = 10_000_000
 
@@ -108,7 +107,7 @@ def threshold_energy(t: ThresholdGraph) -> float:
 
 
 def _formula_bounds(n: int, m: int) -> tuple[int, ...]:
-    return tuple(min(k * n, m + k * (k + 1) // 2, 2 * m) for k in range(1, n + 1))
+    return tuple(brouwer_extremal_plan(n, m, k).bound for k in range(1, n + 1))
 
 
 @lru_cache(maxsize=4096)
@@ -159,16 +158,6 @@ def _oracle_table(n: int, m: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...
     return tuple(maxima), tuple(witnesses)
 
 
-def _reports(g: Graph, spec: Spectrum, tol: float,
-             witnesses: tuple[DominanceWitness, ...]
-             ) -> tuple[CheckReport, CheckReport, CheckReport]:
-    """The gmb, brouwer and std reports, all from one spectrum."""
-    prefix = spec.prefix_sums()
-    std = report_from_bounds("std", g.n, g.m, tol, prefix,
-                             tuple(w.prefix_sum for w in witnesses))
-    return report_for("gmb", g, prefix, tol), report_for("brouwer", g, prefix, tol), std
-
-
 def _energy_fields(g: Graph, spec: Spectrum, tol: float):
     """Energy witness columns and the (graph, witness) energy pair."""
     if g.m == 0:
@@ -183,11 +172,7 @@ def _energy_fields(g: Graph, spec: Spectrum, tol: float):
 
 def _assemble(g: Graph, tol: float, graph_id: str | None, route: str,
               witnesses: tuple[DominanceWitness, ...]) -> DominanceReport:
-    spec = eigenvalues(g)
-    gmb, brouwer, std = _reports(g, spec, tol, witnesses)
-    if not (gmb.holds and brouwer.holds and std.holds):
-        spec = confirm_spectrum(g)
-        gmb, brouwer, std = _reports(g, spec, tol, witnesses)
+    spec, checked = reports(g, ("gmb", "brouwer", "std"), tol)
     ewit, pair, eholds = _energy_fields(g, spec, tol)
     return DominanceReport(
         graph_id=graph_id if graph_id is not None else encode_graph6(g),
@@ -195,9 +180,9 @@ def _assemble(g: Graph, tol: float, graph_id: str | None, route: str,
         m=g.m,
         spectrum=spec.values,
         energy=laplacian_energy(spec),
-        gmb=gmb,
-        brouwer=brouwer,
-        std=std,
+        gmb=checked["gmb"],
+        brouwer=checked["brouwer"],
+        std=checked["std"],
         witnesses=witnesses,
         energy_witness_cols=ewit.cols,
         energy_pair=pair,
@@ -235,18 +220,14 @@ def energy_witness(g: Graph, tol: float = DEFAULT_TOL
     the confirmer's re-solve, that contradicts prefix dominance at k* and
     raises BrouwerViolationError.
     """
-    spec = eigenvalues(g)
-    t, pair, holds = _energy_fields(g, spec, tol)
-    if holds:
-        return t, pair
-    tight = confirm_spectrum(g)
-    t, pair, holds = _energy_fields(g, tight, tol)
-    if holds:
-        return t, pair
-    kstar = energy_count(tight)
+    for off_tol in (None, CONFIRM_TOL):
+        spec = eigenvalues(g, off_tol=off_tol)
+        t, pair, holds = _energy_fields(g, spec, tol)
+        if holds:
+            return t, pair
     raise BrouwerViolationError(
         f"energy witness {t.serialize()!r} has LE {pair[1]:.12g} below the "
-        f"graph's {pair[0]:.12g} at k*={kstar} (n={g.n}, m={g.m})"
+        f"graph's {pair[0]:.12g} at k*={energy_count(spec)} (n={g.n}, m={g.m})"
     )
 
 

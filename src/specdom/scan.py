@@ -7,9 +7,12 @@ and chunk results are reassembled in input order.  The summary is
 therefore byte-identical whatever the worker count; wall time and worker
 count are reported separately and never enter the deterministic payload.
 
-Flagged violations are re-verified one graph at a time by the Jacobi
-confirmer at a 100x tighter tolerance before they are believed; re-checks
-that land back inside the tolerance are demoted to near-equality events.
+Inside the kernel, a record that some check flags as a violation is
+confirmed once, all its checks together: the flagged records of a stack
+are re-solved in one batch by the Jacobi confirmer at a 100x tighter
+tolerance, and every check of such a record reads its margin from that
+spectrum.  Margins that land back inside the tolerance are demoted to
+near-equality events.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .graphs import Graph, Graph6Error, decode_graph6, encode_graph6
-from .spectra import (DEFAULT_TOL, NEAR_EQUALITY, confirm_spectrum, report_for,
-                      snap_zeros)
+from .spectra import DEFAULT_TOL, NEAR_EQUALITY, verify
 
 CHUNK = 4096
 NEAR_CAP = 10000
@@ -130,69 +132,28 @@ def _laplacians(n: int, bit_rows: np.ndarray) -> np.ndarray:
     return lap
 
 
-def _kahan_cumsum(mat: np.ndarray) -> np.ndarray:
-    """Row-wise cumulative sums with Kahan compensation, (B, n) -> (B, n)."""
-    out = np.empty_like(mat)
-    total = np.zeros(mat.shape[0])
-    comp = np.zeros(mat.shape[0])
-    for j in range(mat.shape[1]):
-        y = mat[:, j] - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        out[:, j] = total
-    return out
+def _kernel(n: int, bit_rows: np.ndarray, checks: Sequence[str],
+            tol: float = DEFAULT_TOL):
+    """Confirmed margins for one stack of graphs sharing a node count.
 
-
-def _bounds_for(check: str, n: int, m_col: np.ndarray, conj_prefix: np.ndarray,
-                ks: np.ndarray) -> np.ndarray:
-    """(B, n) exact bounds for one check; m_col is (B, 1) of edge counts."""
-    if check == "gmb":
-        return conj_prefix
-    brouwer = m_col + (ks * (ks + 1)) // 2
-    if check == "brouwer":
-        return brouwer + np.zeros_like(conj_prefix)
-    if check == "std":
-        return np.minimum(np.minimum(ks * n, brouwer), 2 * m_col) + np.zeros_like(conj_prefix)
-    raise ValueError(f"unknown check {check!r}")
-
-
-def _kernel(n: int, bit_rows: np.ndarray, checks: Sequence[str]):
-    """Margins for one stack of graphs sharing a node count.
-
-    bit_rows is (B, P) in {0, 1}.  Returns, per check, integer arrays
+    bit_rows is (B, P) in {0, 1}.  Returns, per check, arrays
     (min_margin, worst_k) of shape (B,), plus the (B,) edge counts.
     """
-    lap = _laplacians(n, bit_rows)
-    m = bit_rows.sum(axis=1).astype(np.int64)
-    degs = np.einsum("bii->bi", lap).astype(np.int64)
-    eigs = snap_zeros(np.linalg.eigvalsh(lap)[:, ::-1])
-    lam_prefix = _kahan_cumsum(eigs)
-    ks = np.arange(1, n + 1, dtype=np.int64)
-    conj = (degs[:, None, :] >= ks[None, :, None]).sum(axis=2)
-    conj_prefix = np.cumsum(conj, axis=1)
+    _, prefix, bounds = verify(_laplacians(n, bit_rows), checks, tol)
     out = {}
-    m_col = m[:, None]
     for check in checks:
-        bounds = _bounds_for(check, n, m_col, conj_prefix, ks)
-        margins = bounds.astype(float) - lam_prefix
+        margins = bounds[check] - prefix
         idx = np.argmin(margins, axis=1)
-        rows = np.arange(margins.shape[0])
-        out[check] = (margins[rows, idx], idx + 1)
-    return out, m
-
-
-def _confirm(g: Graph, check: str) -> tuple[float, int]:
-    """Re-check by the Jacobi confirmer against exact bounds."""
-    report = report_for(check, g, confirm_spectrum(g).prefix_sums(), 0.0)
-    return report.min_margin, report.worst_k
+        out[check] = (margins[np.arange(len(idx)), idx], idx + 1)
+    return out, bit_rows.sum(axis=1).astype(np.int64)
 
 
 def _scan_chunk(payload) -> tuple[int, list, list, list]:
     """Process one chunk; returns (records, violations, nears, errors).
 
-    Violation and near entries are (record_text, check, k, margin) with
-    record_text already final; errors are (line, message).
+    Violation and near entries are (record, check, k, margin), where the
+    record is a stream record's graph6 text or a generated graph's bare
+    edge mask (``_record_text`` encodes it); errors are (line, message).
     """
     kind, checks, tol = payload[0], payload[1], payload[2]
     errors: list[tuple[int, str]] = []
@@ -207,12 +168,11 @@ def _scan_chunk(payload) -> tuple[int, list, list, list]:
             entries.append((text, g.n, g.bits))
     else:
         n, start, stop = payload[3], payload[4], payload[5]
-        entries = [(None, n, int(mask)) for mask in range(start, stop)]
+        entries = [(mask, n, mask) for mask in range(start, stop)]
     by_n: dict[int, list[int]] = {}
     for pos, (_, n, _bits) in enumerate(entries):
         by_n.setdefault(n, []).append(pos)
     results: dict[int, dict[str, tuple[float, int]]] = {}
-    ms: dict[int, int] = {}
     for n, positions in sorted(by_n.items()):
         nbits = n * (n - 1) // 2
         rows = np.zeros((len(positions), max(nbits, 1)), dtype=np.uint8)
@@ -223,27 +183,27 @@ def _scan_chunk(payload) -> tuple[int, list, list, list]:
                 rows[r, :nbits] = np.unpackbits(
                     np.frombuffer(raw, dtype=np.uint8), bitorder="little"
                 )[:nbits]
-        per_check, m = _kernel(n, rows[:, :nbits] if nbits else rows[:, :0], checks)
+        per_check, _ = _kernel(n, rows[:, :nbits], checks, tol)
         for r, pos in enumerate(positions):
             results[pos] = {c: (float(per_check[c][0][r]), int(per_check[c][1][r]))
                             for c in checks}
-            ms[pos] = int(m[r])
-    violations: list[tuple[str, str, int, float]] = []
-    nears: list[tuple[str, str, int, float]] = []
-    for pos, (text, n, bits) in enumerate(entries):
+    violations: list[tuple[str | int, str, int, float]] = []
+    nears: list[tuple[str | int, str, int, float]] = []
+    for pos, (record, _n, _bits) in enumerate(entries):
         for check in checks:
             margin, worst_k = results[pos][check]
             if margin < -tol:
-                g = Graph(n, bits)
-                margin, worst_k = _confirm(g, check)
-                record = text if text is not None else encode_graph6(g)
-                if margin < -tol:
-                    violations.append((record, check, worst_k, margin))
-                    continue
-            if margin < NEAR_EQUALITY:
-                record = text if text is not None else encode_graph6(Graph(n, bits))
+                violations.append((record, check, worst_k, margin))
+            elif margin < NEAR_EQUALITY:
                 nears.append((record, check, worst_k, margin))
     return len(entries), violations, nears, errors
+
+
+def _record_text(payload, record: str | int) -> str:
+    """graph6 text of an event record from the chunk built by ``payload``."""
+    if payload[0] == "g6":
+        return record
+    return encode_graph6(Graph(payload[3], record))
 
 
 def _validate_checks(checks: Iterable[str]) -> tuple[str, ...]:
@@ -292,14 +252,18 @@ def _assemble(payloads: list, checks: tuple[str, ...], jobs: int,
     near_count = 0
     near: list[NearEquality] = []
     errors: list[RecordError] = []
-    for count, vios, nears, errs in _run_chunks(payloads, jobs, progress):
+    # the chunk generator goes first, so zip resumes it after its last
+    # chunk and its final progress line is printed
+    chunks = zip(_run_chunks(payloads, jobs, progress), payloads)
+    for (count, vios, nears, errs), payload in chunks:
         records += count
         for rec, check, k, margin in vios:
-            violations.append(Violation(rec, check, k, margin))
+            violations.append(Violation(_record_text(payload, rec), check, k, margin))
         near_count += len(nears)
         room = NEAR_CAP - len(near)
+        # only the listed near events are encoded; the rest are just counted
         for rec, check, k, margin in nears[:max(room, 0)]:
-            near.append(NearEquality(rec, check, k, margin))
+            near.append(NearEquality(_record_text(payload, rec), check, k, margin))
         for line, message in errs:
             errors.append(RecordError(line, message))
     return ScanSummary(

@@ -7,15 +7,20 @@ off-diagonal Frobenius norm drops below off_tol * (1 + ||A||_F), with a
 hard failure after 64 sweeps.  Jacobi runs the same pivot schedule across
 a stack of matrices at once; a single matrix is the stack of one.
 
-Two prefix-sum bounds are checked against the spectrum, both with
+Three prefix-sum bounds are checked against the spectrum, with
 compensated summation on the eigenvalue side and exact integers on the
 bound side:
 
   * Grone-Merris-Bai:  sum_{i<=k} lambda_i  <=  sum_{i<=k} d*_i
   * Brouwer:           sum_{i<=k} lambda_i  <=  m + k(k+1)/2
+  * STD maximum:       sum_{i<=k} lambda_i  <=  min(k*n, m + k(k+1)/2, 2m)
 
-A reported violation must clear the tolerance and survive recomputation by
-the Jacobi confirmer at a 100x tighter tolerance before it is believed.
+One batched verdict core serves every caller, a single graph being the
+batch of one: ``bound_rows`` writes the three bounds as exact integer
+rows, ``solve`` is the only eigensolve, and ``verify`` solves a stack,
+bounds every row and re-solves the rows some check flags by the Jacobi
+confirmer at a 100x tighter tolerance before a violation is believed.
+``reports`` turns one graph's verdict into CheckReports.
 """
 
 from __future__ import annotations
@@ -26,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .partitions import conjugate_counts
 
 DEFAULT_TOL = 1e-7
 OFF_TOL = 1e-12
+CONFIRM_TOL = OFF_TOL / 100.0
 MAX_SWEEPS = 64
 ZERO_SNAP = 1e-9
 NEAR_EQUALITY = 1e-4
@@ -128,6 +133,20 @@ def jacobi_eigenvalues_batch(matrices, *, off_tol: float = OFF_TOL,
     raise AssertionError("unreachable")
 
 
+def kahan_cumsum(mat: np.ndarray) -> np.ndarray:
+    """Row-wise cumulative sums with Kahan compensation, (B, n) -> (B, n)."""
+    out = np.empty_like(mat)
+    total = np.zeros(mat.shape[0])
+    comp = np.zeros(mat.shape[0])
+    for j in range(mat.shape[1]):
+        y = mat[:, j] - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        out[:, j] = total
+    return out
+
+
 def prefix_sums(values) -> tuple[float, ...]:
     """Cumulative sums with Kahan compensation.
 
@@ -135,16 +154,8 @@ def prefix_sums(values) -> tuple[float, ...]:
     """
     if isinstance(values, Spectrum):
         values = values.values
-    out = []
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = float(v) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        out.append(total)
-    return tuple(out)
+    row = np.array([float(v) for v in values])
+    return tuple(kahan_cumsum(row[None])[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -182,42 +193,70 @@ class Spectrum:
         return prefix_sums(self.values)
 
 
-def snap_zeros(vals: np.ndarray) -> np.ndarray:
-    """Set entries within ZERO_SNAP of zero to exactly 0.0, in place.
+def solve(laps: np.ndarray, off_tol: float | None = None) -> np.ndarray:
+    """(B, n) Laplacian spectra of a (B, n, n) stack, each row descending.
 
-    eigvalsh returns rounding noise such as 5.7e-16 for a zero eigenvalue.
-    No true nonzero Laplacian eigenvalue comes near the window: a connected
-    graph's algebraic connectivity is at least 4/(n*diam) >= 4/n^2.
+    LAPACK's eigvalsh, or cyclic Jacobi converged to ``off_tol`` when one
+    is given.  Values within 1e-9 of zero are snapped to zero; anything
+    lower is a solver failure and raises.
     """
+    if off_tol is None:
+        vals = np.linalg.eigvalsh(laps)[:, ::-1]
+    else:
+        vals = jacobi_eigenvalues_batch(laps, off_tol=off_tol)
+    # eigvalsh returns rounding noise such as 5.7e-16 for a zero eigenvalue.
+    # No true nonzero Laplacian eigenvalue comes near the window: a connected
+    # graph's algebraic connectivity is at least 4/(n*diam) >= 4/n^2.
     vals[np.abs(vals) < ZERO_SNAP] = 0.0
+    low = vals[:, -1].min(initial=0.0)
+    if low < 0.0:
+        raise JacobiConvergenceError(
+            f"eigenvalue {low} below the zero-snap window for n={laps.shape[1]}"
+        )
     return vals
 
 
 def eigenvalues(g: Graph, *, off_tol: float | None = None) -> Spectrum:
-    """Laplacian spectrum of a graph via LAPACK's eigvalsh.
+    """Laplacian spectrum of a graph: ``solve`` on the stack of one."""
+    vals = solve(laplacian(g)[None], off_tol)[0]
+    return Spectrum(tuple(vals.tolist()), g.n, g.m)
 
-    With ``off_tol`` the spectrum comes from cyclic Jacobi converged to
-    that tolerance instead.  Values within 1e-9 of zero are snapped to
-    zero; anything lower is a solver failure and raises.
+
+def bound_rows(n: int, degrees) -> dict[str, np.ndarray]:
+    """Exact int64 (B, n) bound rows "gmb", "brouwer" and "std" for graphs
+    on n nodes with the given (B, n) degrees; m is half the degree sum.
+
+    gmb is the prefix of the conjugate degrees d*_k = #{i : d_i >= k},
+    brouwer is m + k(k+1)/2 and std is min(k*n, m + k(k+1)/2, 2m).
     """
-    lap = laplacian(g)
-    if off_tol is None:
-        raw = np.linalg.eigvalsh(lap)[::-1]
-    else:
-        raw = jacobi_eigenvalues(lap, off_tol=off_tol)
-    vals = snap_zeros(raw)
-    if vals[-1] < 0.0:
-        raise JacobiConvergenceError(
-            f"eigenvalue {vals[-1]} below the zero-snap window for n={g.n}"
-        )
-    return Spectrum(tuple(float(v) for v in vals), g.n, g.m)
+    degs = np.asarray(degrees, dtype=np.int64)
+    ks = np.arange(1, n + 1, dtype=np.int64)
+    m = degs.sum(axis=1, keepdims=True) // 2
+    conj = (degs[:, None, :] >= ks[None, :, None]).sum(axis=2)
+    brouwer = m + ks * (ks + 1) // 2
+    return {"gmb": np.cumsum(conj, axis=1), "brouwer": brouwer,
+            "std": np.minimum(np.minimum(ks * n, brouwer), 2 * m)}
 
 
-def confirm_spectrum(g: Graph) -> Spectrum:
-    """Independent re-solve of a flagged graph: cyclic Jacobi at 100x the
-    default off-diagonal tolerance, a different algorithm from the first
-    solve."""
-    return eigenvalues(g, off_tol=OFF_TOL / 100.0)
+def verify(laps: np.ndarray, checks, tol: float
+           ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Spectra, Kahan prefix sums and exact bound rows of a (B, n, n)
+    stack of Laplacians.
+
+    Every row is solved once.  Rows where some requested check misses by
+    more than ``tol`` are re-solved together by the Jacobi confirmer at
+    CONFIRM_TOL, and their spectra and prefix sums are replaced.
+    """
+    bounds = bound_rows(laps.shape[1], np.einsum("bii->bi", laps))
+    eigs = solve(laps)
+    prefix = kahan_cumsum(eigs)
+    flagged = np.zeros(len(laps), dtype=bool)
+    for check in checks:
+        flagged |= (bounds[check] - prefix).min(axis=1, initial=np.inf) < -tol
+    if flagged.any():
+        eigs[flagged] = solve(laps[flagged], CONFIRM_TOL)
+        prefix[flagged] = kahan_cumsum(eigs[flagged])
+    return eigs, prefix, bounds
 
 
 def cycle_spectrum(n: int) -> Spectrum:
@@ -310,51 +349,21 @@ def report_from_bounds(check: str, n: int, m: int, tol: float, eig_prefix,
                        min_margin >= -tol, worst_k, min_margin, tuple(near))
 
 
-def _gmb_bounds(g: Graph) -> tuple[int, ...]:
-    conj = conjugate_counts(g.degree_sequence().values, g.n)
-    out = []
-    running = 0
-    for v in conj:
-        running += v
-        out.append(running)
-    return tuple(out)
-
-
-def _brouwer_bounds(n: int, m: int) -> tuple[int, ...]:
-    return tuple(m + k * (k + 1) // 2 for k in range(1, n + 1))
-
-
-def _effective_bounds(n: int, m: int) -> tuple[int, ...]:
-    return tuple(min(k * n, m + k * (k + 1) // 2, 2 * m) for k in range(1, n + 1))
-
-
-def _checked(check: str, g: Graph, tol: float) -> CheckReport:
-    """Run one bound check, re-verifying any violation with the confirmer
-    before letting it stand."""
-    report = report_for(check, g, eigenvalues(g).prefix_sums(), tol)
-    if not report.holds:
-        report = report_for(check, g, confirm_spectrum(g).prefix_sums(), tol)
-    return report
-
-
-def report_for(check: str, g: Graph, eig_prefix, tol: float) -> CheckReport:
-    """The gmb, brouwer or std report of a graph from its eigenvalue prefix
-    sums; std is taken against min(k*n, m + k(k+1)/2, 2m)."""
-    if check == "gmb":
-        return report_from_bounds("gmb", g.n, g.m, tol, eig_prefix, _gmb_bounds(g))
-    if check == "brouwer":
-        return report_from_bounds("brouwer", g.n, g.m, tol, eig_prefix,
-                                  _brouwer_bounds(g.n, g.m),
-                                  _effective_bounds(g.n, g.m))
-    if check == "std":
-        return report_from_bounds("std", g.n, g.m, tol, eig_prefix,
-                                  _effective_bounds(g.n, g.m))
-    raise ValueError(f"unknown check {check!r}")
+def reports(g: Graph, checks, tol: float) -> tuple[Spectrum, dict[str, CheckReport]]:
+    """One graph through ``verify``: its spectrum and a CheckReport per
+    check.  Brouwer entries carry the std row as their effective bound."""
+    eigs, prefix, bounds = verify(laplacian(g)[None], checks, tol)
+    pref = prefix[0].tolist()
+    rows = {check: row[0].tolist() for check, row in bounds.items()}
+    out = {check: report_from_bounds(check, g.n, g.m, tol, pref, rows[check],
+                                     rows["std"] if check == "brouwer" else None)
+           for check in checks}
+    return Spectrum(tuple(eigs[0].tolist()), g.n, g.m), out
 
 
 def check_gmb(g: Graph, tol: float = DEFAULT_TOL) -> CheckReport:
     """Check sum_{i<=k} lambda_i <= sum_{i<=k} d*_i for every k."""
-    return _checked("gmb", g, tol)
+    return reports(g, ("gmb",), tol)[1]["gmb"]
 
 
 def check_brouwer(g: Graph, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -362,4 +371,4 @@ def check_brouwer(g: Graph, tol: float = DEFAULT_TOL) -> CheckReport:
 
     Entries also carry the effective bound min(k*n, m + k(k+1)/2, 2m).
     """
-    return _checked("brouwer", g, tol)
+    return reports(g, ("brouwer",), tol)[1]["brouwer"]

@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from specdom.graphs import Graph, encode_graph6
+from specdom import spectra
+from specdom.graphs import Graph, decode_graph6, encode_graph6
 from specdom.scan import (GEN_ALL_MAX, NEAR_CAP, ScanSummary, _kernel, _laplacians,
                           _resolve_jobs, _validate_checks, scan_all_graphs,
                           scan_graph6_lines)
@@ -132,6 +133,44 @@ class TestKernel:
         s = scan_graph6_lines([encode_graph6(g)], checks=("gmb", "brouwer", "std"))
         assert s.records == 1
         assert not s.errors and not s.violations
+
+
+def count_confirmed(monkeypatch):
+    """Record the batch size of every call to the Jacobi confirmer."""
+    sizes = []
+    real = spectra.jacobi_eigenvalues_batch
+
+    def counting(matrices, **kwargs):
+        sizes.append(len(matrices))
+        return real(matrices, **kwargs)
+
+    monkeypatch.setattr(spectra, "jacobi_eigenvalues_batch", counting)
+    return sizes
+
+
+class TestConfirm:
+    def test_only_flagged_rows_confirmed(self, monkeypatch):
+        # K6 plus 2 isolated meets the brouwer bound at k=5, so tol=-1 flags
+        # it; C8's smallest brouwer margin 6 - 2*sqrt(2) stays clear
+        sizes = count_confirmed(monkeypatch)
+        s = scan_graph6_lines([C8, K6_PLUS_2, C8], checks=("brouwer",), tol=-1.0)
+        assert sum(sizes) == 1
+        assert [(v.record, v.check, v.k) for v in s.violations] == [
+            (K6_PLUS_2, "brouwer", 5)]
+        rows = np.array([bit_row(8, decode_graph6(t).bits)
+                         for t in (C8, K6_PLUS_2, C8)], dtype=np.uint8)
+        per_check, _ = _kernel(8, rows, ("brouwer",), tol=-1.0)
+        margins, ks = per_check["brouwer"]
+        for r in (0, 2):
+            assert ks[r] == 3
+            assert abs(margins[r] - (6 - 2 * math.sqrt(2))) < 1e-12
+
+    def test_one_confirm_per_record(self, monkeypatch):
+        # both checks flag each copy, but each record is re-solved once
+        sizes = count_confirmed(monkeypatch)
+        s = scan_graph6_lines([C8, C8], checks=("gmb", "brouwer"), tol=-4.0)
+        assert sum(sizes) == 2
+        assert len(s.violations) == 4
 
 
 class TestExhaustive:

@@ -17,7 +17,8 @@ from specdom import (Spectrum, check_brouwer, check_gmb, cycle_spectrum,
                      laplacian_energy, prefix_sums)
 from specdom.graphs import (Graph, complete, complete_plus_isolated, cycle,
                             decode_graph6)
-from specdom.spectra import JacobiConvergenceError
+from specdom.partitions import conjugate_counts
+from specdom.spectra import JacobiConvergenceError, bound_rows
 
 SQRT2 = math.sqrt(2.0)
 
@@ -201,6 +202,9 @@ class TestPrefixSums:
         s = eigenvalues(cycle(5))
         assert prefix_sums(s) == s.prefix_sums()
 
+    def test_empty(self):
+        assert prefix_sums([]) == ()
+
 
 class TestEnergy:
     def test_c8(self):
@@ -278,3 +282,21 @@ class TestChecks:
         assert rep.min_margin == min(e.margin for e in rep.entries)
         assert rep.worst_k == min(e.k for e in rep.entries
                                   if e.margin == rep.min_margin)
+
+
+class TestBoundRows:
+    def test_rows_match_formulas(self):
+        rng = random.Random(31)
+        graphs = [random_graph(rng, 9) for _ in range(40)]
+        degrees = np.array([g.degree_sequence().values for g in graphs])
+        rows = bound_rows(9, degrees)
+        for i, g in enumerate(graphs):
+            conj = conjugate_counts(g.degree_sequence().values, 9)
+            gmb = [sum(conj[:k]) for k in range(1, 10)]
+            assert rows["gmb"][i].tolist() == gmb
+            for k in range(1, 10):
+                brouwer = g.m + k * (k + 1) // 2
+                assert rows["brouwer"][i, k - 1] == brouwer
+                assert rows["std"][i, k - 1] == min(9 * k, brouwer, 2 * g.m)
+        assert all(r.dtype == np.int64 for r in rows.values())
+
