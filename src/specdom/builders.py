@@ -86,8 +86,7 @@ class ThresholdGraph:
 
     def serialize(self) -> str:
         """Text form "n: c_1 c_2 ... c_f" (just "n:" when edgeless)."""
-        tail = " ".join(str(c) for c in self.cols)
-        return f"{self.n}: {tail}".rstrip()
+        return format_threshold(self.n, self.cols)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ThresholdGraph):
@@ -99,6 +98,23 @@ class ThresholdGraph:
 
     def __repr__(self) -> str:
         return f"ThresholdGraph(n={self.n}, cols={list(self.cols)!r})"
+
+
+# " c" for the column counts c of every threshold graph on up to 256 nodes
+_SPACED = tuple(f" {c}" for c in range(256))
+
+
+def format_threshold(n: int, cols: Sequence[int]) -> str:
+    """Text form "n: c_1 c_2 ... c_f" of valid columns ("n:" when empty).
+
+    The one writer of the format that ``parse_threshold`` reads.  ``cols``
+    must already satisfy the ``ThresholdGraph`` invariant, so ``cols[0]``
+    is the largest count; counts below 256 come from a table of " c"
+    strings instead of being converted one by one.
+    """
+    if cols and cols[0] >= len(_SPACED):
+        return f"{n}:{''.join([f' {c}' for c in cols])}"
+    return f"{n}:{''.join([_SPACED[c] for c in cols])}"
 
 
 def from_below_columns(n: int, cols: Sequence[int]) -> ThresholdGraph:

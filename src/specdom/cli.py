@@ -15,9 +15,10 @@ import sys
 
 from .builders import (ThresholdGraph, brouwer_extremal, brouwer_extremal_plan,
                        clique_plus_isolated_threshold, cycle_dominator,
-                       parse_threshold, pineapple, split_dominator, union_merge)
+                       format_threshold, parse_threshold, pineapple,
+                       split_dominator, union_merge)
 from .dominance import DominanceReport, std_constructive, threshold_count
-from .dominance import enumerate_threshold as _enumerate
+from .dominance import threshold_columns as _enumerate
 from .graphs import (Graph, Graph6Error, GraphInputError, decode_graph6,
                      encode_graph6, parse_edge_list)
 from .scan import ScanSummary, scan_all_graphs, scan_graph6_lines
@@ -257,30 +258,46 @@ def _cmd_search(args) -> int:
     return summary.exit_code
 
 
+def _json_record(cols: tuple[int, ...]) -> str:
+    """One column list as ``json.dumps(..., indent=2)`` writes it inside
+    the top-level "records" array."""
+    if not cols:
+        return "    []"
+    return "    [\n      " + ",\n      ".join(map(str, cols)) + "\n    ]"
+
+
 def _cmd_enumerate(args) -> int:
-    if not 1 <= args.n <= ENUMERATE_MAX_N:
+    """Write the records one edge-count block at a time.
+
+    Every argument is checked before the first write, so an error leaves
+    stdout empty.  The output is byte-identical to printing each record's
+    serialization, or ``json.dumps(payload, indent=2)`` with ``--json``.
+    """
+    n, m = args.n, args.m
+    if not 1 <= n <= ENUMERATE_MAX_N:
         raise ValueError(
-            f"enumeration needs 1 <= n <= {ENUMERATE_MAX_N}, got n={args.n}"
+            f"enumeration needs 1 <= n <= {ENUMERATE_MAX_N}, got n={n}"
         )
-    if args.m is not None:
-        count = threshold_count(args.n, args.m)
-        records = _enumerate(args.n, args.m)
-    else:
-        count = sum(threshold_count(args.n, mm)
-                    for mm in range(args.n * (args.n - 1) // 2 + 1))
-        records = _enumerate(args.n)
+    cap = n * (n - 1) // 2
+    if m is not None and not 0 <= m <= cap:
+        raise ValueError(f"edge count m={m} outside 0..{cap}")
+    ms = range(cap + 1) if m is None else (m,)
+    count = sum(threshold_count(n, mm) for mm in ms)
+    write = sys.stdout.write
     if args.json:
-        payload = {
-            "n": args.n,
-            "m": args.m,
-            "count": count,
-            "records": [list(t.cols) for t in records],
-        }
-        print(json.dumps(payload, indent=2))
+        write(f'{{\n  "n": {n},\n  "m": {json.dumps(m)},\n'
+              f'  "count": {count},\n  "records": [')
+        # every valid m has at least one record, so no block is empty
+        sep = "\n"
+        for mm in ms:
+            write(sep + ",\n".join(map(_json_record, _enumerate(n, mm))))
+            sep = ",\n"
+        write("\n  ]\n}\n")
         return 0
-    for t in records:
-        print(t.serialize())
-    print(f"count: {count}")
+    for mm in ms:
+        write("".join([format_threshold(n, cols) + "\n"
+                       for cols in _enumerate(n, mm)]))
+    write(f"count: {count}\n")
     return 0
 
 

@@ -234,39 +234,65 @@ def energy_witness(g: Graph, tol: float = DEFAULT_TOL
 def enumerate_threshold(n: int, m: int | None = None) -> Iterator[ThresholdGraph]:
     """All threshold graphs on n nodes, or those with exactly m edges.
 
-    Column sequences are emitted in descending lexicographic order (first
-    part descending, then the next, and so on); with m omitted, edge
-    counts run from 0 up to n(n-1)/2.  Totals over all m are 2^(n-1).
+    Edge counts run from 0 up to n(n-1)/2 (just m when given); within one
+    edge count the column sequences come from ``threshold_columns``, in
+    descending lexicographic order.  Totals over all m are 2^(n-1).  Each
+    record is a ``ThresholdGraph``, validated as any other.  Raises
+    ValueError for n < 1 or m outside 0..n(n-1)/2.
+    """
+    # n(n-1)/2 >= 0 for every integer n, so a bad n raises at m = 0
+    ms = range(n * (n - 1) // 2 + 1) if m is None else (m,)
+    for mm in ms:
+        for cols in threshold_columns(n, mm):
+            yield ThresholdGraph(n, cols)
+
+
+def threshold_columns(n: int, m: int) -> Iterator[tuple[int, ...]]:
+    """Column tuples of the threshold graphs on n nodes with m edges.
+
+    The tuples are the partitions of m into distinct parts below n, in
+    descending lexicographic order: the greedy fill first, then each next
+    one by lowering the rightmost part that can drop by one and refilling
+    greedily from there.  Each part c is checked where it is placed,
+    1 <= c <= n - depth (depth counted from 1); strict decrease holds
+    because a part's successor is capped at c - 1.  So every tuple
+    satisfies the ``ThresholdGraph`` invariant without building one, and
+    AssertionError is raised if one ever would not.  Raises ValueError for
+    n < 1 or m outside 0..n(n-1)/2.
     """
     if n < 1:
         raise ValueError(f"threshold graph needs at least one node, got n={n}")
-    cap = n * (n - 1) // 2
-    if m is None:
-        for mm in range(cap + 1):
-            yield from enumerate_threshold(n, mm)
-        return
-    if not 0 <= m <= cap:
-        raise ValueError(f"edge count m={m} outside 0..{cap}")
-    if m == 0:
-        yield ThresholdGraph(n, ())
-        return
-    for cols in _distinct_parts(m, n - 1):
-        yield ThresholdGraph(n, cols)
-
-
-def _distinct_parts(m: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of m into strictly decreasing parts <= cap, in
-    descending lexicographic order."""
-    for c in range(min(cap, m), 0, -1):
-        rest = m - c
-        if rest == 0:
-            yield (c,)
-            continue
-        if rest > (c - 1) * c // 2:
-            # smaller leading parts leave even less room: nothing below fits
-            break
-        for tail in _distinct_parts(rest, c - 1):
-            yield (c,) + tail
+    top = n - 1
+    if not 0 <= m <= n * top // 2:
+        raise ValueError(f"edge count m={m} outside 0..{n * top // 2}")
+    parts: list[int] = []
+    cap, rest = top, m
+    while True:
+        # greedy fill: the largest distinct parts <= cap that sum to rest
+        while rest:
+            c = cap if cap < rest else rest
+            if not 0 < c <= top - len(parts):
+                raise AssertionError(
+                    f"column count {c} at depth {len(parts) + 1} breaks "
+                    f"the invariant for n={n} (columns {parts})")
+            parts.append(c)
+            rest -= c
+            cap = c - 1
+        yield tuple(parts)
+        # the rightmost part p that can drop to p - 1 with distinct parts
+        # below p - 1 still summing to the rest; the fill re-places the
+        # whole suffix from p - 1 down
+        j = len(parts)
+        rest = 0
+        while j:
+            j -= 1
+            rest += parts[j]
+            cap = parts[j] - 1
+            if rest - cap <= cap * (cap - 1) // 2:
+                break
+        else:
+            return
+        del parts[j:]
 
 
 @lru_cache(maxsize=None)

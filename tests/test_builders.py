@@ -53,7 +53,7 @@ class TestThresholdGraph:
             assert abs(a - b) < 1e-9
 
     def test_serialize_round_trip(self):
-        for text in ("8: 4 3 1", "3: 2 1", "5:"):
+        for text in ("8: 4 3 1", "3: 2 1", "5:", "300: 299 256 255 7"):
             t = parse_threshold(text)
             assert t.serialize() == text
             assert parse_threshold(t.serialize()) == t

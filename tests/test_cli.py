@@ -1,5 +1,6 @@
 """Command line interface: text, CSV, and JSON outputs plus exit codes."""
 
+import hashlib
 import io
 import json
 import shutil
@@ -14,6 +15,7 @@ try:
 except ImportError:
     jsonschema = None
 
+from specdom import enumerate_threshold
 from specdom.cli import main
 
 C8 = "GhCGKC"
@@ -262,6 +264,44 @@ class TestEnumerate:
         assert payload["count"] == 2
         assert payload["records"] == [[3], [2, 1]]
 
+    # sha256 of stdout, recorded from the per-record writer that the
+    # block writer replaced
+    @pytest.mark.parametrize("argv, digest", [
+        (["14"],
+         "07df6d8611200f8b3346e44067b5ae8c1ead77677c5244680ea363a47922ddc1"),
+        (["14", "--json"],
+         "89077a47b5b92c0e5a8196f78db9e4b5f074c7c1d180982aab11baebf204958f"),
+        (["9", "20", "--json"],
+         "53ad896488d02cc7cbeb2a1fb4b85092f5dd6a63991b22c1b38bdc007df29c62"),
+    ])
+    def test_golden_digest(self, run, argv, digest):
+        rc, out, _ = run(["enumerate-threshold", *argv])
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        if argv == ["14"]:
+            assert out.count("\n") == 8193
+
+    def test_streamed_json_equals_dumps(self, run):
+        for n in range(1, 10):
+            for m in (None, *range(n * (n - 1) // 2 + 1)):
+                argv = ["enumerate-threshold", str(n), "--json"]
+                if m is not None:
+                    argv.insert(2, str(m))
+                records = [list(t.cols) for t in enumerate_threshold(n, m)]
+                payload = {"n": n, "m": m, "count": len(records),
+                           "records": records}
+                rc, out, _ = run(argv)
+                assert rc == 0
+                assert out == json.dumps(payload, indent=2) + "\n", (n, m)
+
+    @pytest.mark.parametrize("m", ["7", "-1"])
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_bad_m_writes_nothing(self, run, m, fmt):
+        rc, out, err = run(["enumerate-threshold", "4", m, *fmt])
+        assert rc == 2
+        assert out == ""
+        assert f"edge count m={m} outside 0..6" in err
+
 
 class TestEntryPoints:
     def test_module_invocation(self):
@@ -270,6 +310,15 @@ class TestEntryPoints:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "4: 3\n4: 2 1\ncount: 2\n"
+
+    def test_module_invocation_n20_digest(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "specdom.cli", "enumerate-threshold", "20"],
+            capture_output=True)
+        assert proc.returncode == 0
+        assert proc.stdout.count(b"\n") == 524_289
+        assert hashlib.sha256(proc.stdout).hexdigest() == \
+            "50a9af6ce8295e305f1742e62cb236e5f90eda1105ae2552039f90a78fbd3d59"
 
     def test_console_script(self):
         exe = shutil.which("specdom")

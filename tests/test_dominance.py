@@ -8,7 +8,8 @@ import pytest
 
 from specdom import (BrouwerViolationError, ThresholdGraph, energy_witness,
                      enumerate_threshold, max_energy_threshold, std_constructive,
-                     std_oracle, threshold_count, threshold_energy)
+                     std_oracle, threshold_columns, threshold_count,
+                     threshold_energy)
 from specdom.graphs import (Graph, complete_plus_isolated, cycle,
                             from_edge_list)
 
@@ -82,6 +83,8 @@ class TestStdReports:
         # three-way minimum, for every feasible (n, m, k) up to n=10
         for n in range(1, 11):
             for m in range(n * (n - 1) // 2 + 1):
+                assert list(threshold_columns(n, m)) == \
+                    [t.cols for t in enumerate_threshold(n, m)], (n, m)
                 g = None
                 for t in enumerate_threshold(n, m):
                     g = t.realize()
