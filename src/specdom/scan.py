@@ -4,8 +4,19 @@ The stream is cut into fixed-size chunks before any worker is involved,
 every chunk is processed by the same batched kernel (Laplacians scattered
 from the edge bits, one batched LAPACK eigvalsh, exact integer bounds),
 and chunk results are reassembled in input order.  The summary is
-therefore byte-identical whatever the worker count; wall time and worker
-count are reported separately and never enter the deterministic payload.
+therefore byte-identical whatever the worker count; wall time (from the
+first line read) and worker count are reported separately and never enter
+the deterministic payload.
+
+A chunk is columnar from input to events.  Its graph6 texts are bucketed
+by length and each bucket is decoded at once: one (B, L) array of
+character codes, validated and unpacked into (B, P) edge-bit rows by
+numpy.  Records that path does not take (multi-byte headers, the
+``>>graph6<<`` prefix, anything malformed) go through ``decode_graph6``,
+the one writer of graph6 error messages.  Generated chunks shift their
+edge masks into bit rows directly.  Events come back as arrays (position,
+check, k, margin, violation flag) ordered by position and check, and only
+the events the summary lists become objects.
 
 Inside the kernel, a record that some check flags as a violation is
 confirmed once, all its checks together: the flagged records of a stack
@@ -34,6 +45,8 @@ CHUNK = 4096
 NEAR_CAP = 10000
 KNOWN_CHECKS = ("gmb", "brouwer", "std")
 GEN_ALL_MAX = 7
+# longest graph6 record with a one-byte header: n = 62, 1891 bits in 316 bytes
+_G6_SHORT_MAX = 1 + (62 * 61 // 2 + 5) // 6
 
 
 @dataclass(frozen=True)
@@ -148,62 +161,113 @@ def _kernel(n: int, bit_rows: np.ndarray, checks: Sequence[str],
     return out, bit_rows.sum(axis=1).astype(np.int64)
 
 
-def _scan_chunk(payload) -> tuple[int, list, list, list]:
-    """Process one chunk; returns (records, violations, nears, errors).
+def _g6_batch(texts: list[str], length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batch decode of graph6 texts that all have ``length`` characters.
 
-    Violation and near entries are (record, check, k, margin), where the
-    record is a stream record's graph6 text or a generated graph's bare
-    edge mask (``_record_text`` encodes it); errors are (line, message).
+    Returns (ok, n, bits): ok (B,) marks the records decoded here, n (B,)
+    their node counts and bits (B, 6 * (length - 1)) their edge bits in
+    {0, 1}, graph6 order, padding included.  A record is decoded here only
+    when every character is in 63..126 (compared as code points, so
+    non-ASCII text fails like any bad byte), its header is one byte with
+    1 <= n <= 62, its body length fits n and its padding bits are zero.
+    Everything else (bad bytes, the ``>>graph6<<`` prefix, longer headers,
+    n = 0) is left to ``decode_graph6``, which writes every error message.
+    """
+    # surrogatepass: a lone surrogate (stdin under surrogateescape) becomes
+    # one more code point out of range instead of an encoding error
+    joined = "".join(texts).encode("utf-32-le", "surrogatepass")
+    codes = np.frombuffer(joined, dtype=np.uint32).reshape(len(texts), length)
+    n = codes[:, 0].astype(np.int64) - 63
+    nbits = n * (n - 1) // 2
+    ok = (((codes >= 63) & (codes <= 126)).all(axis=1) & (n >= 1) & (n <= 62)
+          & ((nbits + 5) // 6 == length - 1))
+    # bits 2..7 of each byte are its six graph6 bits, high bit first
+    body = (codes[:, 1:] - 63).astype(np.uint8)
+    bits = np.unpackbits(body[:, :, None], axis=2)[:, :, 2:].reshape(len(texts), -1)
+    padding = np.arange(bits.shape[1]) >= nbits[:, None]
+    ok &= ~(bits.astype(bool) & padding).any(axis=1)
+    return ok, n, bits
+
+
+def _int_bit_row(n: int, bits: int) -> np.ndarray:
+    """(1, P) edge bits in {0, 1} of a graph's packed bit integer."""
+    nbits = n * (n - 1) // 2
+    raw = bits.to_bytes((nbits + 7) // 8, "little")
+    row = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return row[None, :nbits]
+
+
+def _g6_groups(records) -> tuple[dict[int, tuple], list[tuple[int, str]]]:
+    """Decode a chunk of (line, text) records into bit-row groups by n.
+
+    Returns ({n: (positions, bit_rows)}, errors): positions index the
+    chunk's records, and errors are (line, message) in line order.
+    Records are bucketed by text length and decoded a bucket at a time by
+    ``_g6_batch``; the records it leaves go through ``decode_graph6``.
+    """
+    by_len: dict[int, list[int]] = {}
+    for pos, (_, text) in enumerate(records):
+        by_len.setdefault(len(text), []).append(pos)
+    pieces: dict[int, list] = {}
+    fallback: list[int] = []
+    for length, positions in by_len.items():
+        if length > _G6_SHORT_MAX:
+            fallback.extend(positions)
+            continue
+        pos = np.array(positions)
+        ok, n, bits = _g6_batch([records[p][1] for p in positions], length)
+        fallback.extend(pos[~ok].tolist())
+        for nn in np.unique(n[ok]).tolist():
+            pick = ok & (n == nn)
+            pieces.setdefault(nn, []).append(
+                (pos[pick], bits[pick, :nn * (nn - 1) // 2]))
+    errors: list[tuple[int, str]] = []
+    for p in sorted(fallback):
+        line_no, text = records[p]
+        try:
+            g = decode_graph6(text)
+        except Graph6Error as exc:
+            errors.append((line_no, str(exc)))
+            continue
+        pieces.setdefault(g.n, []).append((np.array([p]), _int_bit_row(g.n, g.bits)))
+    groups = {n: (np.concatenate([pos for pos, _ in parts]),
+                  np.concatenate([rows for _, rows in parts]))
+              for n, parts in pieces.items()}
+    return groups, errors
+
+
+def _scan_chunk(payload) -> tuple[int, tuple[np.ndarray, ...], list]:
+    """Process one chunk; returns (records, events, errors).
+
+    events are five arrays, one entry per violation or near-equality
+    event, ordered by (position, check): the record's position in the
+    chunk, the check's index in the payload's checks, k, the margin, and
+    whether it is a violation.  A position indexes the payload's records
+    for a stream chunk and counts from its first mask for a generated
+    one.  errors are (line, message).
     """
     kind, checks, tol = payload[0], payload[1], payload[2]
-    errors: list[tuple[int, str]] = []
     if kind == "g6":
-        entries = []
-        for line_no, text in payload[3]:
-            try:
-                g = decode_graph6(text)
-            except Graph6Error as exc:
-                errors.append((line_no, str(exc)))
-                continue
-            entries.append((text, g.n, g.bits))
+        groups, errors = _g6_groups(payload[3])
     else:
         n, start, stop = payload[3], payload[4], payload[5]
-        entries = [(mask, n, mask) for mask in range(start, stop)]
-    by_n: dict[int, list[int]] = {}
-    for pos, (_, n, _bits) in enumerate(entries):
-        by_n.setdefault(n, []).append(pos)
-    results: dict[int, dict[str, tuple[float, int]]] = {}
-    for n, positions in sorted(by_n.items()):
-        nbits = n * (n - 1) // 2
-        rows = np.zeros((len(positions), max(nbits, 1)), dtype=np.uint8)
-        for r, pos in enumerate(positions):
-            bits = entries[pos][2]
-            if nbits:
-                raw = bits.to_bytes((nbits + 7) // 8, "little")
-                rows[r, :nbits] = np.unpackbits(
-                    np.frombuffer(raw, dtype=np.uint8), bitorder="little"
-                )[:nbits]
-        per_check, _ = _kernel(n, rows[:, :nbits], checks, tol)
-        for r, pos in enumerate(positions):
-            results[pos] = {c: (float(per_check[c][0][r]), int(per_check[c][1][r]))
-                            for c in checks}
-    violations: list[tuple[str | int, str, int, float]] = []
-    nears: list[tuple[str | int, str, int, float]] = []
-    for pos, (record, _n, _bits) in enumerate(entries):
-        for check in checks:
-            margin, worst_k = results[pos][check]
-            if margin < -tol:
-                violations.append((record, check, worst_k, margin))
-            elif margin < NEAR_EQUALITY:
-                nears.append((record, check, worst_k, margin))
-    return len(entries), violations, nears, errors
-
-
-def _record_text(payload, record: str | int) -> str:
-    """graph6 text of an event record from the chunk built by ``payload``."""
-    if payload[0] == "g6":
-        return record
-    return encode_graph6(Graph(payload[3], record))
+        masks = np.arange(start, stop)
+        rows = ((masks[:, None] >> np.arange(n * (n - 1) // 2)) & 1).astype(np.uint8)
+        groups, errors = {n: (masks - start, rows)}, []
+    records = 0
+    found = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0),)]
+    for n, (pos, rows) in sorted(groups.items()):
+        records += len(pos)
+        per_check, _ = _kernel(n, rows, checks, tol)
+        for ci, check in enumerate(checks):
+            margins, ks = per_check[check]
+            hit = np.flatnonzero((margins < -tol) | (margins < NEAR_EQUALITY))
+            found.append((pos[hit], np.full(len(hit), ci), ks[hit], margins[hit]))
+    pos, check, k, margin = (np.concatenate(col) for col in zip(*found))
+    order = np.lexsort((check, pos))
+    margin = margin[order]
+    events = (pos[order], check[order], k[order], margin, margin < -tol)
+    return records, events, errors
 
 
 def _validate_checks(checks: Iterable[str]) -> tuple[str, ...]:
@@ -244,9 +308,15 @@ def _run_chunks(payloads: list, jobs: int, progress: bool) -> Iterator:
                 print(f"progress: {i + 1}/{len(payloads)} chunks", file=sys.stderr)
 
 
+def _record_text(payload, pos: int) -> str:
+    """graph6 text of the record at ``pos`` in the chunk built by ``payload``."""
+    if payload[0] == "g6":
+        return payload[3][pos][1]
+    return encode_graph6(Graph(payload[3], payload[4] + pos))
+
+
 def _assemble(payloads: list, checks: tuple[str, ...], jobs: int,
-              progress: bool) -> ScanSummary:
-    started = time.monotonic()
+              progress: bool, started: float) -> ScanSummary:
     records = 0
     violations: list[Violation] = []
     near_count = 0
@@ -255,15 +325,20 @@ def _assemble(payloads: list, checks: tuple[str, ...], jobs: int,
     # the chunk generator goes first, so zip resumes it after its last
     # chunk and its final progress line is printed
     chunks = zip(_run_chunks(payloads, jobs, progress), payloads)
-    for (count, vios, nears, errs), payload in chunks:
+    for (count, events, errs), payload in chunks:
         records += count
-        for rec, check, k, margin in vios:
-            violations.append(Violation(_record_text(payload, rec), check, k, margin))
-        near_count += len(nears)
-        room = NEAR_CAP - len(near)
-        # only the listed near events are encoded; the rest are just counted
-        for rec, check, k, margin in nears[:max(room, 0)]:
-            near.append(NearEquality(_record_text(payload, rec), check, k, margin))
+        pos, check, k, margin, violation = events
+        near_at = np.flatnonzero(~violation)
+        near_count += len(near_at)
+        room = max(NEAR_CAP - len(near), 0)
+        # only the events that are listed become objects (and, for a
+        # generated chunk, get encoded); the other near events are counted
+        for i in np.flatnonzero(violation).tolist():
+            violations.append(Violation(_record_text(payload, int(pos[i])),
+                                        checks[check[i]], int(k[i]), float(margin[i])))
+        for i in near_at[:room].tolist():
+            near.append(NearEquality(_record_text(payload, int(pos[i])),
+                                     checks[check[i]], int(k[i]), float(margin[i])))
         for line, message in errs:
             errors.append(RecordError(line, message))
     return ScanSummary(
@@ -283,6 +358,7 @@ def scan_graph6_lines(lines: Iterable[str], *, checks: Iterable[str] = ("brouwer
                       progress: bool = False) -> ScanSummary:
     """Scan a stream of graph6 lines; blank lines are skipped but counted
     for error line numbers."""
+    started = time.monotonic()
     checks = _validate_checks(checks)
     jobs = _resolve_jobs(jobs)
     payloads = []
@@ -297,7 +373,7 @@ def scan_graph6_lines(lines: Iterable[str], *, checks: Iterable[str] = ("brouwer
             buf = []
     if buf:
         payloads.append(("g6", checks, tol, tuple(buf)))
-    return _assemble(payloads, checks, jobs, progress)
+    return _assemble(payloads, checks, jobs, progress, started)
 
 
 def scan_all_graphs(n: int, *, checks: Iterable[str] = ("brouwer",),
@@ -306,9 +382,10 @@ def scan_all_graphs(n: int, *, checks: Iterable[str] = ("brouwer",),
     """Scan every labelled graph on n nodes (n <= 7, 2^21 graphs at most)."""
     if not 1 <= n <= GEN_ALL_MAX:
         raise ValueError(f"exhaustive scan needs 1 <= n <= {GEN_ALL_MAX}, got n={n}")
+    started = time.monotonic()
     checks = _validate_checks(checks)
     jobs = _resolve_jobs(jobs)
     total = 1 << (n * (n - 1) // 2)
     payloads = [("gen", checks, tol, n, a, min(a + CHUNK, total))
                 for a in range(0, total, CHUNK)]
-    return _assemble(payloads, checks, jobs, progress)
+    return _assemble(payloads, checks, jobs, progress, started)

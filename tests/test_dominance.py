@@ -10,6 +10,7 @@ from specdom import (BrouwerViolationError, ThresholdGraph, energy_witness,
                      enumerate_threshold, max_energy_threshold, std_constructive,
                      std_oracle, threshold_columns, threshold_count,
                      threshold_energy)
+from specdom.dominance import _column_spectrum
 from specdom.graphs import (Graph, complete_plus_isolated, cycle,
                             from_edge_list)
 
@@ -169,6 +170,22 @@ class TestMaxEnergy:
             t, _ = max_energy_threshold(n)
             f = t.trace
             assert t.cols == tuple(range(f, 0, -1)), (n, t.cols)
+
+    def test_column_spectrum_is_conjugate_degrees(self):
+        for n in range(1, 13):
+            for t in enumerate_threshold(n):
+                assert tuple(_column_spectrum(n, t.cols)) == t.spectrum_ints()
+
+    def test_matches_spectrum_ints_search(self):
+        # the search over ThresholdGraph.spectrum_ints that it replaced
+        for n in range(1, 15):
+            best_score, best_cols = -1, ()
+            for t in enumerate_threshold(n):
+                score = sum(abs(n * v - 2 * t.m) for v in t.spectrum_ints())
+                if score > best_score or (score == best_score and t.cols < best_cols):
+                    best_score, best_cols = score, t.cols
+            assert max_energy_threshold(n) == (ThresholdGraph(n, best_cols),
+                                               best_score / n), n
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

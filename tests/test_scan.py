@@ -1,16 +1,18 @@
 """Streaming and exhaustive scans: counters, events, exit codes, parallelism."""
 
+import hashlib
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 from specdom import spectra
-from specdom.graphs import Graph, decode_graph6, encode_graph6
-from specdom.scan import (GEN_ALL_MAX, NEAR_CAP, ScanSummary, _kernel, _laplacians,
-                          _resolve_jobs, _validate_checks, scan_all_graphs,
-                          scan_graph6_lines)
+from specdom.graphs import Graph, Graph6Error, decode_graph6, encode_graph6
+from specdom.scan import (CHUNK, GEN_ALL_MAX, NEAR_CAP, ScanSummary, _g6_batch,
+                          _g6_groups, _kernel, _laplacians, _resolve_jobs,
+                          _validate_checks, scan_all_graphs, scan_graph6_lines)
 from specdom.spectra import laplacian
 
 C8 = "GhCGKC"
@@ -57,6 +59,15 @@ class TestStreams:
         out = s.stdout_text()
         assert "errors: 1" in out
         assert "ERROR line 2:" in out
+
+    def test_wall_time_covers_reading(self):
+        def slow_lines():
+            time.sleep(0.2)
+            yield "Bw"
+
+        s = scan_graph6_lines(slow_lines())
+        assert s.wall_time >= 0.2
+        assert s.stdout_text() == scan_graph6_lines(["Bw"]).stdout_text()
 
 
 class TestEvents:
@@ -133,6 +144,102 @@ class TestKernel:
         s = scan_graph6_lines([encode_graph6(g)], checks=("gmb", "brouwer", "std"))
         assert s.records == 1
         assert not s.errors and not s.violations
+
+
+# A stream of every kind of record the batch decoder must hand back to
+# decode_graph6, around valid ones: blank lines, a non-ASCII character, a
+# lone surrogate (as stdin's surrogateescape yields), a byte below 63,
+# wrong body lengths, a nonzero padding bit, the >>graph6<< prefix, a
+# 4-byte header (n = 63), the n = 0 header "?", n = 1 ("@"), a line longer
+# than any one-byte-header record, and records of one length whose
+# headers differ ("Bw", "C~", "A_").
+MIXED = ["Bw", "", "C~", "   ", "A_", "B\u00e9", "Dh:", "Dhcc", "Dh", "Dhd",
+         ">>graph6<<Dhc", encode_graph6(Graph(63, random.Random(63).getrandbits(1953))),
+         "?", "@", "A", "~", "G~~w??", ">>graph6<<", "Dhc", "GhCGKC", "Ch",
+         "B" + "w" * 400, "B\udcff"]
+
+
+class TestBatchDecode:
+    def test_bit_rows_match_decoder(self):
+        rng = random.Random(6262)
+        for n in range(1, 63):
+            nbits = n * (n - 1) // 2
+            graphs = [Graph(n, rng.getrandbits(nbits) if nbits else 0)
+                      for _ in range(4)]
+            texts = [encode_graph6(g) for g in graphs]
+            ok, ns, bits = _g6_batch(texts, len(texts[0]))
+            assert ok.all() and (ns == n).all()
+            want = np.array([bit_row(n, g.bits) for g in graphs], dtype=np.uint8)
+            assert np.array_equal(bits[:, :nbits], want), n
+            assert not bits[:, nbits:].any()
+
+    def test_shared_length_split_by_header(self):
+        # n = 2, 3 and 4 all take one body byte
+        texts = ["A_", "Bw", "C~", "Bo", "A?"]
+        groups, errors = _g6_groups(list(enumerate(texts, start=1)))
+        assert not errors
+        assert sorted(groups) == [2, 3, 4]
+        for n, (positions, rows) in groups.items():
+            for p, row in zip(positions, rows):
+                g = decode_graph6(texts[p])
+                assert g.n == n
+                assert row.tolist() == bit_row(n, g.bits)
+
+    def test_mixed_stream_matches_decoder(self):
+        checks = ("gmb", "brouwer", "std")
+        s = scan_graph6_lines(MIXED, checks=checks)
+        errors, nears = [], []
+        for line, raw in enumerate(MIXED, start=1):
+            text = raw.strip()
+            if not text:
+                continue
+            try:
+                g = decode_graph6(text)
+            except Graph6Error as exc:
+                errors.append(f"ERROR line {line}: {exc}")
+                continue
+            rows = np.array([bit_row(g.n, g.bits)], dtype=np.uint8)
+            per_check, _ = _kernel(g.n, rows, checks)
+            for check in checks:
+                margin, k = per_check[check][0][0], per_check[check][1][0]
+                assert margin >= -spectra.DEFAULT_TOL
+                if margin < spectra.NEAR_EQUALITY:
+                    nears.append((text, check, int(k), float(margin)))
+        out = s.stdout_text()
+        assert [ln for ln in out.splitlines() if ln.startswith("ERROR")] == errors
+        assert len(errors) == 11
+        assert s.records == len([t for t in MIXED if t.strip()]) - len(errors)
+        assert [(e.record, e.check, e.k, e.margin) for e in s.near] == nears
+        assert not s.violations and s.exit_code == 2
+
+
+def near_stream(records):
+    """Seeded random graph6 records, n from 4 to 12; about two near events each."""
+    rng = random.Random(2016)
+    out = []
+    for _ in range(records):
+        n = rng.randint(4, 12)
+        out.append(encode_graph6(Graph(n, rng.getrandbits(n * (n - 1) // 2))))
+    return out
+
+
+class TestColumnarEvents:
+    # sha256 of stdout, recorded from the scanner that built one tuple per
+    # event; both runs span several chunks and overflow the NEAR_CAP list
+    @pytest.mark.parametrize("scan, digest", [
+        (lambda jobs: scan_graph6_lines(near_stream(2 * CHUNK + 800),
+                                        checks=("gmb", "brouwer", "std"), jobs=jobs),
+         "1f178f7e6953c77502fe06c6cd661cf03a7166b1295b72d6e3aaea38a75731b4"),
+        (lambda jobs: scan_all_graphs(6, checks=("gmb", "brouwer", "std"), jobs=jobs),
+         "47dbf6a6a1f6a32b7123553533e53527a3388c463dcc7486110835bbba6bbaee"),
+    ], ids=["stream", "gen-all-6"])
+    def test_golden_digest(self, scan, digest):
+        one = scan(1)
+        assert one.near_count > NEAR_CAP and len(one.near) == NEAR_CAP
+        out = one.stdout_text()
+        assert f"(near-equality list capped at {NEAR_CAP})" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert scan(2).stdout_text() == out
 
 
 def count_confirmed(monkeypatch):

@@ -18,7 +18,7 @@ from specdom import (Spectrum, check_brouwer, check_gmb, cycle_spectrum,
 from specdom.graphs import (Graph, complete, complete_plus_isolated, cycle,
                             decode_graph6)
 from specdom.partitions import conjugate_counts
-from specdom.spectra import JacobiConvergenceError, bound_rows
+from specdom.spectra import JacobiConvergenceError, bound_rows, kahan_cumsum
 
 SQRT2 = math.sqrt(2.0)
 
@@ -204,6 +204,13 @@ class TestPrefixSums:
 
     def test_empty(self):
         assert prefix_sums([]) == ()
+
+    def test_bit_identical_to_kahan_cumsum(self):
+        rng = random.Random(4242)
+        for length in [0, 1] + [rng.randint(0, 40) for _ in range(198)]:
+            row = np.array([rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8)
+                            for _ in range(length)])
+            assert prefix_sums(row) == tuple(kahan_cumsum(row[None])[0].tolist())
 
 
 class TestEnergy:
