@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graphs import Graph, from_edge_list
-from .partitions import DegreeSequence, conjugate_counts
+from .partitions import DegreeSequence
 
 
 class ThresholdGraph:
@@ -62,7 +62,7 @@ class ThresholdGraph:
 
     def spectrum_ints(self) -> tuple[int, ...]:
         """Laplacian eigenvalues: the conjugate degrees, nonincreasing."""
-        return conjugate_counts(self.degree_sequence().values, self.n)
+        return threshold_spectrum(self.n, self.cols)
 
     def spectrum_prefix(self) -> tuple[int, ...]:
         """Cumulative eigenvalue sums for k = 1..n, exact integers."""
@@ -115,6 +115,24 @@ def format_threshold(n: int, cols: Sequence[int]) -> str:
     if cols and cols[0] >= len(_SPACED):
         return f"{n}:{''.join([f' {c}' for c in cols])}"
     return f"{n}:{''.join([_SPACED[c] for c in cols])}"
+
+
+def threshold_spectrum(n: int, cols: Sequence[int]) -> tuple[int, ...]:
+    """Laplacian eigenvalues, nonincreasing, of the threshold graph with
+    these valid columns, read straight off them.
+
+    The spectrum is the conjugate of the degrees d_i = c_i + i - 1 (i <= f).
+    Its first f entries are h_i = c_i + i, and entry i > f counts the
+    h_j above i; the h_j never increase, so one pointer walks them down.
+    """
+    heads = [c + i for i, c in enumerate(cols, start=1)]
+    j = len(heads)
+    tail = []
+    for i in range(j + 1, n + 1):
+        while j and heads[j - 1] <= i:
+            j -= 1
+        tail.append(j)
+    return tuple(heads + tail)
 
 
 def from_below_columns(n: int, cols: Sequence[int]) -> ThresholdGraph:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .builders import ThresholdGraph, brouwer_extremal, brouwer_extremal_plan
+from .builders import (ThresholdGraph, brouwer_extremal, brouwer_extremal_plan,
+                       threshold_spectrum)
 from .graphs import Graph, encode_graph6
 from .spectra import (CONFIRM_TOL, DEFAULT_TOL, CheckReport, Spectrum,
                       eigenvalues, energy_count, laplacian_energy, reports)
@@ -313,24 +314,6 @@ def threshold_count(n: int, m: int) -> int:
     return _distinct_count(m, n - 1)
 
 
-def _column_spectrum(n: int, cols: tuple[int, ...]) -> list[int]:
-    """Laplacian eigenvalues, nonincreasing, of the threshold graph with
-    these columns, read straight off them.
-
-    The spectrum is the conjugate of the degrees d_i = c_i + i - 1 (i <= f).
-    Its first f entries are h_i = c_i + i, and entry i > f counts the
-    h_j above i; the h_j never increase, so one pointer walks them down.
-    """
-    heads = [c + i for i, c in enumerate(cols, start=1)]
-    j = len(heads)
-    tail = []
-    for i in range(j + 1, n + 1):
-        while j and heads[j - 1] <= i:
-            j -= 1
-        tail.append(j)
-    return heads + tail
-
-
 def max_energy_threshold(n: int) -> tuple[ThresholdGraph, float]:
     """Threshold graph on n nodes with the largest Laplacian energy.
 
@@ -345,7 +328,7 @@ def max_energy_threshold(n: int) -> tuple[ThresholdGraph, float]:
     for m in range(n * (n - 1) // 2 + 1):
         two_m = 2 * m
         for cols in threshold_columns(n, m):
-            score = sum(abs(n * v - two_m) for v in _column_spectrum(n, cols))
+            score = sum(abs(n * v - two_m) for v in threshold_spectrum(n, cols))
             if score > best_score or (score == best_score and cols < best_cols):
                 best_score = score
                 best_cols = cols

@@ -3,7 +3,9 @@
 Edges live in the strict upper triangle, stored column-major: the bit for
 the 0-based pair (i, j) with i < j sits at position j*(j-1)//2 + i.  This
 is exactly the bit order of the graph6 format, so encoding and decoding
-are straight bit runs.  Node names are 1-based everywhere in the API.
+are straight bit runs.  ``decode_graph6_batch`` decodes many records of
+one length at once into numpy edge-bit rows, for the scanner.  Node names
+are 1-based everywhere in the API.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .partitions import DegreeSequence
 
@@ -227,6 +231,44 @@ def decode_graph6(text: str) -> Graph:
                 raise Graph6Error(f"byte {header_len + ci}: nonzero padding bit")
             bits |= 1 << p
     return Graph(n, bits)
+
+
+# longest graph6 record with a one-byte header: n = 62, 1891 bits in 316 bytes
+_G6_SHORT_MAX = 1 + (62 * 61 // 2 + 5) // 6
+
+
+def decode_graph6_batch(texts: list[str], length: int
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched counterpart of ``decode_graph6`` for texts of ``length`` characters.
+
+    Returns (ok, n, bits): ok (B,) marks the records decoded here, n (B,)
+    their node counts and bits (B, 6 * (length - 1)) their edge bits in
+    {0, 1}, graph6 order, padding included.  A record is decoded here only
+    when every character is in 63..126 (compared as code points, so
+    non-ASCII text fails like any bad byte), its header is one byte with
+    1 <= n <= 62, its body length fits n and its padding bits are zero.
+    Everything else (bad bytes, the ``>>graph6<<`` prefix, longer headers,
+    n = 0) is left to ``decode_graph6``, which writes every error message;
+    texts longer than any one-byte-header record are not read at all, and
+    then bits has no columns.
+    """
+    if not 1 <= length <= _G6_SHORT_MAX:
+        return (np.zeros(len(texts), bool), np.zeros(len(texts), np.int64),
+                np.zeros((len(texts), 0), np.uint8))
+    # surrogatepass: a lone surrogate (stdin under surrogateescape) becomes
+    # one more code point out of range instead of an encoding error
+    joined = "".join(texts).encode("utf-32-le", "surrogatepass")
+    codes = np.frombuffer(joined, dtype=np.uint32).reshape(len(texts), length)
+    n = codes[:, 0].astype(np.int64) - 63
+    nbits = n * (n - 1) // 2
+    ok = (((codes >= 63) & (codes <= 126)).all(axis=1) & (n >= 1) & (n <= 62)
+          & ((nbits + 5) // 6 == length - 1))
+    # bits 2..7 of each byte are its six graph6 bits, high bit first
+    body = (codes[:, 1:] - 63).astype(np.uint8)
+    bits = np.unpackbits(body[:, :, None], axis=2)[:, :, 2:].reshape(len(texts), -1)
+    padding = np.arange(bits.shape[1]) >= nbits[:, None]
+    ok &= ~(bits.astype(bool) & padding).any(axis=1)
+    return ok, n, bits
 
 
 def encode_graph6(g: Graph) -> str:

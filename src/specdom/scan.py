@@ -9,12 +9,13 @@ first line read) and worker count are reported separately and never enter
 the deterministic payload.
 
 A chunk is columnar from input to events.  Its graph6 texts are bucketed
-by length and each bucket is decoded at once: one (B, L) array of
-character codes, validated and unpacked into (B, P) edge-bit rows by
-numpy.  Records that path does not take (multi-byte headers, the
-``>>graph6<<`` prefix, anything malformed) go through ``decode_graph6``,
-the one writer of graph6 error messages.  Generated chunks shift their
-edge masks into bit rows directly.  Events come back as arrays (position,
+by length and each bucket is decoded at once by
+``graphs.decode_graph6_batch``: one (B, L) array of character codes,
+validated and unpacked into (B, P) edge-bit rows by numpy.  Records
+that path does not take (multi-byte headers, the ``>>graph6<<`` prefix,
+anything malformed) go through ``decode_graph6``, the one writer of
+graph6 error messages.  Generated chunks shift their edge masks into bit
+rows directly.  Events come back as arrays (position,
 check, k, margin, violation flag) ordered by position and check, and only
 the events the summary lists become objects.
 
@@ -38,15 +39,14 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Graph, Graph6Error, decode_graph6, encode_graph6
+from .graphs import (Graph, Graph6Error, decode_graph6, decode_graph6_batch,
+                     encode_graph6)
 from .spectra import DEFAULT_TOL, NEAR_EQUALITY, verify
 
 CHUNK = 4096
 NEAR_CAP = 10000
 KNOWN_CHECKS = ("gmb", "brouwer", "std")
 GEN_ALL_MAX = 7
-# longest graph6 record with a one-byte header: n = 62, 1891 bits in 316 bytes
-_G6_SHORT_MAX = 1 + (62 * 61 // 2 + 5) // 6
 
 
 @dataclass(frozen=True)
@@ -161,34 +161,6 @@ def _kernel(n: int, bit_rows: np.ndarray, checks: Sequence[str],
     return out, bit_rows.sum(axis=1).astype(np.int64)
 
 
-def _g6_batch(texts: list[str], length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch decode of graph6 texts that all have ``length`` characters.
-
-    Returns (ok, n, bits): ok (B,) marks the records decoded here, n (B,)
-    their node counts and bits (B, 6 * (length - 1)) their edge bits in
-    {0, 1}, graph6 order, padding included.  A record is decoded here only
-    when every character is in 63..126 (compared as code points, so
-    non-ASCII text fails like any bad byte), its header is one byte with
-    1 <= n <= 62, its body length fits n and its padding bits are zero.
-    Everything else (bad bytes, the ``>>graph6<<`` prefix, longer headers,
-    n = 0) is left to ``decode_graph6``, which writes every error message.
-    """
-    # surrogatepass: a lone surrogate (stdin under surrogateescape) becomes
-    # one more code point out of range instead of an encoding error
-    joined = "".join(texts).encode("utf-32-le", "surrogatepass")
-    codes = np.frombuffer(joined, dtype=np.uint32).reshape(len(texts), length)
-    n = codes[:, 0].astype(np.int64) - 63
-    nbits = n * (n - 1) // 2
-    ok = (((codes >= 63) & (codes <= 126)).all(axis=1) & (n >= 1) & (n <= 62)
-          & ((nbits + 5) // 6 == length - 1))
-    # bits 2..7 of each byte are its six graph6 bits, high bit first
-    body = (codes[:, 1:] - 63).astype(np.uint8)
-    bits = np.unpackbits(body[:, :, None], axis=2)[:, :, 2:].reshape(len(texts), -1)
-    padding = np.arange(bits.shape[1]) >= nbits[:, None]
-    ok &= ~(bits.astype(bool) & padding).any(axis=1)
-    return ok, n, bits
-
-
 def _int_bit_row(n: int, bits: int) -> np.ndarray:
     """(1, P) edge bits in {0, 1} of a graph's packed bit integer."""
     nbits = n * (n - 1) // 2
@@ -203,7 +175,8 @@ def _g6_groups(records) -> tuple[dict[int, tuple], list[tuple[int, str]]]:
     Returns ({n: (positions, bit_rows)}, errors): positions index the
     chunk's records, and errors are (line, message) in line order.
     Records are bucketed by text length and decoded a bucket at a time by
-    ``_g6_batch``; the records it leaves go through ``decode_graph6``.
+    ``decode_graph6_batch``; the records it leaves go through
+    ``decode_graph6``.
     """
     by_len: dict[int, list[int]] = {}
     for pos, (_, text) in enumerate(records):
@@ -211,11 +184,8 @@ def _g6_groups(records) -> tuple[dict[int, tuple], list[tuple[int, str]]]:
     pieces: dict[int, list] = {}
     fallback: list[int] = []
     for length, positions in by_len.items():
-        if length > _G6_SHORT_MAX:
-            fallback.extend(positions)
-            continue
         pos = np.array(positions)
-        ok, n, bits = _g6_batch([records[p][1] for p in positions], length)
+        ok, n, bits = decode_graph6_batch([records[p][1] for p in positions], length)
         fallback.extend(pos[~ok].tolist())
         for nn in np.unique(n[ok]).tolist():
             pick = ok & (n == nn)

@@ -154,17 +154,8 @@ def prefix_sums(values) -> tuple[float, ...]:
     """
     if isinstance(values, Spectrum):
         values = values.values
-    # kahan_cumsum's steps on one row, in plain floats: numpy's per-column
-    # calls cost about 20x more than the arithmetic at this size
-    out = []
-    total = comp = 0.0
-    for v in values:
-        y = float(v) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        out.append(total)
-    return tuple(out)
+    row = np.array([float(v) for v in values])
+    return tuple(kahan_cumsum(row[None])[0].tolist())
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,10 @@ from specdom import (BrouwerViolationError, ThresholdGraph, energy_witness,
                      enumerate_threshold, max_energy_threshold, std_constructive,
                      std_oracle, threshold_columns, threshold_count,
                      threshold_energy)
-from specdom.dominance import _column_spectrum
+from specdom.builders import threshold_spectrum
 from specdom.graphs import (Graph, complete_plus_isolated, cycle,
                             from_edge_list)
+from specdom.partitions import conjugate_counts
 
 
 def effective_bound(n, m, k):
@@ -174,14 +175,16 @@ class TestMaxEnergy:
     def test_column_spectrum_is_conjugate_degrees(self):
         for n in range(1, 13):
             for t in enumerate_threshold(n):
-                assert tuple(_column_spectrum(n, t.cols)) == t.spectrum_ints()
+                assert threshold_spectrum(n, t.cols) == conjugate_counts(
+                    t.degree_sequence().values, n)
 
     def test_matches_spectrum_ints_search(self):
-        # the search over ThresholdGraph.spectrum_ints that it replaced
+        # the search over conjugate degrees that the column scoring replaced
         for n in range(1, 15):
             best_score, best_cols = -1, ()
             for t in enumerate_threshold(n):
-                score = sum(abs(n * v - 2 * t.m) for v in t.spectrum_ints())
+                spec = conjugate_counts(t.degree_sequence().values, n)
+                score = sum(abs(n * v - 2 * t.m) for v in spec)
                 if score > best_score or (score == best_score and t.cols < best_cols):
                     best_score, best_cols = score, t.cols
             assert max_energy_threshold(n) == (ThresholdGraph(n, best_cols),

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from specdom import spectra
-from specdom.graphs import Graph, Graph6Error, decode_graph6, encode_graph6
-from specdom.scan import (CHUNK, GEN_ALL_MAX, NEAR_CAP, ScanSummary, _g6_batch,
-                          _g6_groups, _kernel, _laplacians, _resolve_jobs,
-                          _validate_checks, scan_all_graphs, scan_graph6_lines)
+from specdom.graphs import (Graph, Graph6Error, decode_graph6,
+                            decode_graph6_batch, encode_graph6)
+from specdom.scan import (CHUNK, GEN_ALL_MAX, NEAR_CAP, ScanSummary, _g6_groups,
+                          _kernel, _laplacians, _resolve_jobs, _validate_checks,
+                          scan_all_graphs, scan_graph6_lines)
 from specdom.spectra import laplacian
 
 C8 = "GhCGKC"
@@ -167,7 +168,7 @@ class TestBatchDecode:
             graphs = [Graph(n, rng.getrandbits(nbits) if nbits else 0)
                       for _ in range(4)]
             texts = [encode_graph6(g) for g in graphs]
-            ok, ns, bits = _g6_batch(texts, len(texts[0]))
+            ok, ns, bits = decode_graph6_batch(texts, len(texts[0]))
             assert ok.all() and (ns == n).all()
             want = np.array([bit_row(n, g.bits) for g in graphs], dtype=np.uint8)
             assert np.array_equal(bits[:, :nbits], want), n
