@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graphs import Graph, from_edge_list
-from .partitions import DegreeSequence
+from .partitions import DegreeSequence, conjugate_counts
 
 
 class ThresholdGraph:
@@ -52,13 +52,11 @@ class ThresholdGraph:
         return sum(self.cols)
 
     def degree_sequence(self) -> DegreeSequence:
-        """Degrees d_i = c_i + i - 1 for i <= f, then counts of tall columns."""
-        f = len(self.cols)
-        degs = [self.cols[i] + i for i in range(f)]
-        conj_head = [self.cols[i] + i + 1 for i in range(f)]
-        for r in range(f + 1, self.n + 1):
-            degs.append(sum(1 for v in conj_head if v >= r))
-        return DegreeSequence(degs, self.n)
+        """Degrees as the conjugate of the spectrum: the spectrum is the
+        conjugate degree sequence, and conjugation at length n is an
+        involution."""
+        spectrum = threshold_spectrum(self.n, self.cols)
+        return DegreeSequence(conjugate_counts(spectrum, self.n), self.n)
 
     def spectrum_ints(self) -> tuple[int, ...]:
         """Laplacian eigenvalues: the conjugate degrees, nonincreasing."""

@@ -37,10 +37,15 @@ def _jfloat(x: float) -> float:
 
 
 def _read_text(path: str) -> str:
+    """A file or stdin read as bytes and decoded as UTF-8 whatever the
+    locale; a byte that is not UTF-8 becomes a lone surrogate, which the
+    graph6 readers report as a bad byte of its own line."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return data.decode("utf-8", "surrogateescape")
 
 
 def _graphs_from_text(text: str) -> list[tuple[str, Graph]]:
@@ -119,10 +124,10 @@ def _report_text(report: DominanceReport) -> str:
         )
     lines.append("witnesses:")
     for w in report.witnesses:
-        serial = ThresholdGraph(report.n, w.cols).serialize()
+        serial = format_threshold(report.n, w.cols)
         lines.append(f"  k={w.k}: {serial} | prefix {w.prefix_sum}")
     le_g, le_t = report.energy_pair
-    serial = ThresholdGraph(report.n, report.energy_witness_cols).serialize()
+    serial = format_threshold(report.n, report.energy_witness_cols)
     lines.append(
         f"energy witness: {serial} | LE {_fmt(le_t)} >= {_fmt(le_g)}"
     )

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .builders import (ThresholdGraph, brouwer_extremal, brouwer_extremal_plan,
-                       threshold_spectrum)
+                       format_threshold, threshold_spectrum)
 from .graphs import Graph, encode_graph6
 from .spectra import (CONFIRM_TOL, DEFAULT_TOL, CheckReport, Spectrum,
                       eigenvalues, energy_count, laplacian_energy, reports)
@@ -87,7 +87,6 @@ class DominanceReport:
         out = []
         for i in range(self.n):
             w = self.witnesses[i]
-            serial = ThresholdGraph(self.n, w.cols).serialize()
             out.append(PerKEntry(
                 k=i + 1,
                 eig_sum=self.std.entries[i].eig_sum,
@@ -95,7 +94,7 @@ class DominanceReport:
                 brouwer_bound=int(self.brouwer.entries[i].bound),
                 effective_bound=int(self.brouwer.entries[i].effective_bound),
                 best_threshold_prefix=w.prefix_sum,
-                witness=serial,
+                witness=format_threshold(self.n, w.cols),
                 margin=self.std.entries[i].margin,
             ))
         return tuple(out)

@@ -3,9 +3,11 @@
 Edges live in the strict upper triangle, stored column-major: the bit for
 the 0-based pair (i, j) with i < j sits at position j*(j-1)//2 + i.  This
 is exactly the bit order of the graph6 format, so encoding and decoding
-are straight bit runs.  ``decode_graph6_batch`` decodes many records of
-one length at once into numpy edge-bit rows, for the scanner.  Node names
-are 1-based everywhere in the API.
+are straight bit runs.  This module is the one owner of that bit order:
+``decode_graph6_batch`` decodes many records of one length at once into
+numpy edge-bit rows and ``bit_rows`` unpacks packed bit integers into the
+same rows, for the scanner and the Laplacian builder.  Node names are
+1-based everywhere in the API.
 """
 
 from __future__ import annotations
@@ -38,6 +40,15 @@ def _bit_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for j in range(1, n) for i in range(j))
 
 
+def _set_pairs(n: int, bits: int) -> Iterator[tuple[int, int]]:
+    """0-based (i, j) pair of each set bit of ``bits``, lowest bit first."""
+    pairs = _bit_pairs(n)
+    while bits:
+        low = bits & -bits
+        yield pairs[low.bit_length() - 1]
+        bits ^= low
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable graph: node count ``n`` and packed upper-triangle ``bits``."""
@@ -65,30 +76,14 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted 1-based edge list."""
-        pairs = _bit_pairs(self.n)
-        bits = self.bits
-        out = []
-        while bits:
-            low = bits & -bits
-            p = low.bit_length() - 1
-            i, j = pairs[p]
-            out.append((i + 1, j + 1))
-            bits ^= low
-        out.sort()
-        return out
+        return sorted((i + 1, j + 1) for i, j in _set_pairs(self.n, self.bits))
 
     def degrees(self) -> tuple[int, ...]:
         """Degree of node u at index u-1."""
         degs = [0] * self.n
-        pairs = _bit_pairs(self.n)
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            p = low.bit_length() - 1
-            i, j = pairs[p]
+        for i, j in _set_pairs(self.n, self.bits):
             degs[i] += 1
             degs[j] += 1
-            bits ^= low
         return tuple(degs)
 
     def degree_sequence(self) -> DegreeSequence:
@@ -134,16 +129,16 @@ def complete(n: int) -> Graph:
 
 
 def complete_plus_isolated(c: int, n: int) -> Graph:
-    """K_c together with n - c isolated nodes (c = 0 or 1 gives edgeless)."""
+    """K_c together with n - c isolated nodes (c = 0 or 1 gives edgeless).
+
+    Column-major order puts the pairs among nodes 1..c first, so K_c's
+    edges are the low c(c-1)/2 bits.
+    """
     if not 0 <= c <= n:
         raise ValueError(f"clique size {c} outside [0, {n}]")
     if n < 1:
         raise ValueError(f"graph needs at least one node, got n={n}")
-    bits = 0
-    for j in range(1, c):
-        for i in range(j):
-            bits |= 1 << _bit_index(i, j)
-    return Graph(n, bits)
+    return Graph(n, (1 << (c * (c - 1) // 2)) - 1)
 
 
 def complement(g: Graph) -> Graph:
@@ -161,14 +156,8 @@ def disjoint_union(graphs: Iterable[Graph]) -> Graph:
     bits = 0
     offset = 0
     for g in parts:
-        sub = g.bits
-        pairs = _bit_pairs(g.n)
-        while sub:
-            low = sub & -sub
-            p = low.bit_length() - 1
-            i, j = pairs[p]
+        for i, j in _set_pairs(g.n, g.bits):
             bits |= 1 << _bit_index(i + offset, j + offset)
-            sub ^= low
         offset += g.n
     return Graph(n, bits)
 
@@ -269,6 +258,23 @@ def decode_graph6_batch(texts: list[str], length: int
     padding = np.arange(bits.shape[1]) >= nbits[:, None]
     ok &= ~(bits.astype(bool) & padding).any(axis=1)
     return ok, n, bits
+
+
+def bit_rows(n: int, packed) -> np.ndarray:
+    """(B, P) edge bits in {0, 1}, graph6 order, of B packed bit integers
+    on n nodes, P = n(n-1)/2.
+
+    ``packed`` is an int64 array (then P must be below 63), unpacked by
+    shifts, or a sequence of Python ints of any size, unpacked from their
+    little-endian bytes.
+    """
+    nbits = n * (n - 1) // 2
+    if isinstance(packed, np.ndarray):
+        return ((packed[:, None] >> np.arange(nbits)) & 1).astype(np.uint8)
+    nbytes = (nbits + 7) // 8
+    raw = b"".join([b.to_bytes(nbytes, "little") for b in packed])
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(packed), nbytes)
+    return np.unpackbits(rows, axis=1, bitorder="little")[:, :nbits]
 
 
 def encode_graph6(g: Graph) -> str:

@@ -41,7 +41,45 @@ def conjugate_counts(parts: Iterable[int], length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class DegreeSequence:
+class _Sequence:
+    """Tuple protocol shared by the two sequence kinds: ``values`` holds the
+    validated, zero-padded entries, and two sequences are equal only when
+    they are of the same kind."""
+
+    values: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.values)
+
+    @property
+    def total(self) -> int:
+        """Sum of all entries; for degrees, twice the edge count of a
+        realisation."""
+        return sum(self.values)
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i):
+        return self.values[i]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.values))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self.values)!r})"
+
+
+class DegreeSequence(_Sequence):
     """Nonincreasing degree sequence of length n with entries in [0, n-1].
 
     Input values are sorted into nonincreasing order and zero-padded to
@@ -60,16 +98,7 @@ class DegreeSequence:
         for v in vals:
             if v < 0 or v > n - 1:
                 raise ValueError(f"degree {v} outside [0, {n - 1}] for n={n}")
-        self.values: tuple[int, ...] = tuple(vals)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @property
-    def total(self) -> int:
-        """Sum of all degrees (twice the edge count of a realisation)."""
-        return sum(self.values)
+        self.values = tuple(vals)
 
     def conjugate(self) -> "ConjugateSequence":
         """Column counts of the Ferrers diagram, padded to length n."""
@@ -109,28 +138,8 @@ class DegreeSequence:
         conj = conjugate_counts(self.values, self.n)
         return tuple(conj[i] - (i + 1) for i in range(f))
 
-    def __iter__(self):
-        return iter(self.values)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DegreeSequence):
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(("DegreeSequence", self.values))
-
-    def __repr__(self) -> str:
-        return f"DegreeSequence({list(self.values)!r})"
-
-
-class ConjugateSequence:
+class ConjugateSequence(_Sequence):
     """Conjugate (column-count) sequence of length n with entries in [0, n]."""
 
     def __init__(self, values: Iterable[int], n: int | None = None):
@@ -146,15 +155,7 @@ class ConjugateSequence:
         for v in vals:
             if v < 0 or v > n:
                 raise ValueError(f"column count {v} outside [0, {n}]")
-        self.values: tuple[int, ...] = tuple(vals)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @property
-    def total(self) -> int:
-        return sum(self.values)
+        self.values = tuple(vals)
 
     def conjugate(self) -> DegreeSequence:
         """Conjugate back to a degree sequence (exact involution)."""
@@ -168,26 +169,6 @@ class ConjugateSequence:
             running += v
             out.append(running)
         return tuple(out)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConjugateSequence):
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(("ConjugateSequence", self.values))
-
-    def __repr__(self) -> str:
-        return f"ConjugateSequence({list(self.values)!r})"
 
 
 def _as_sequence(d) -> DegreeSequence:

@@ -1,12 +1,15 @@
 """Bulk scanning of graph streams against spectral bounds.
 
+This module only chunks the input, calls the kernel and assembles events:
+the edge-bit order belongs to ``graphs`` and the Laplacian to ``spectra``.
+
 The stream is cut into fixed-size chunks before any worker is involved,
-every chunk is processed by the same batched kernel (Laplacians scattered
-from the edge bits, one batched LAPACK eigvalsh, exact integer bounds),
-and chunk results are reassembled in input order.  The summary is
-therefore byte-identical whatever the worker count; wall time (from the
-first line read) and worker count are reported separately and never enter
-the deterministic payload.
+every chunk is processed by the same batched kernel (``spectra.laplacians``
+on the edge-bit rows, then ``spectra.verify``: one batched LAPACK eigvalsh
+and exact integer bounds), and chunk results are reassembled in input
+order.  The summary is therefore byte-identical whatever the worker count;
+wall time (from the first line read) and worker count are reported
+separately and never enter the deterministic payload.
 
 A chunk is columnar from input to events.  Its graph6 texts are bucketed
 by length and each bucket is decoded at once by
@@ -14,10 +17,10 @@ by length and each bucket is decoded at once by
 validated and unpacked into (B, P) edge-bit rows by numpy.  Records
 that path does not take (multi-byte headers, the ``>>graph6<<`` prefix,
 anything malformed) go through ``decode_graph6``, the one writer of
-graph6 error messages.  Generated chunks shift their edge masks into bit
-rows directly.  Events come back as arrays (position,
-check, k, margin, violation flag) ordered by position and check, and only
-the events the summary lists become objects.
+graph6 error messages; ``graphs.bit_rows`` unpacks those records, and
+the edge masks of generated chunks, into the same rows.  Events come back
+as arrays (position, check, k, margin, violation flag) ordered by position
+and check, and only the events the summary lists become objects.
 
 Inside the kernel, a record that some check flags as a violation is
 confirmed once, all its checks together: the flagged records of a stack
@@ -33,15 +36,14 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import (Graph, Graph6Error, decode_graph6, decode_graph6_batch,
-                     encode_graph6)
-from .spectra import DEFAULT_TOL, NEAR_EQUALITY, verify
+from .graphs import (Graph, Graph6Error, bit_rows, decode_graph6,
+                     decode_graph6_batch, encode_graph6)
+from .spectra import DEFAULT_TOL, NEAR_EQUALITY, laplacians, verify
 
 CHUNK = 4096
 NEAR_CAP = 10000
@@ -125,48 +127,20 @@ class ScanSummary:
                 f"({self.jobs} {worker})\n")
 
 
-@lru_cache(maxsize=64)
-def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of each edge bit in graph6 order: bit p is the 0-based
-    pair (i, j), i < j, column-major, so rows hold j and cols hold i."""
-    return np.tril_indices(n, -1)
-
-
-def _laplacians(n: int, bit_rows: np.ndarray) -> np.ndarray:
-    """(B, n, n) Laplacians scattered from (B, P) edge bits in {0, 1}."""
-    rows, cols = _pair_index(n)
-    # negate only after the cast: -uint8 wraps to 255
-    off = -bit_rows.astype(float)
-    lap = np.zeros((bit_rows.shape[0], n, n))
-    lap[:, rows, cols] = off
-    lap[:, cols, rows] = off
-    diag = np.arange(n)
-    lap[:, diag, diag] = -lap.sum(axis=2)
-    return lap
-
-
-def _kernel(n: int, bit_rows: np.ndarray, checks: Sequence[str],
+def _kernel(n: int, rows: np.ndarray, checks: Sequence[str],
             tol: float = DEFAULT_TOL):
     """Confirmed margins for one stack of graphs sharing a node count.
 
-    bit_rows is (B, P) in {0, 1}.  Returns, per check, arrays
+    rows is (B, P) edge bits in {0, 1}.  Returns, per check, arrays
     (min_margin, worst_k) of shape (B,), plus the (B,) edge counts.
     """
-    _, prefix, bounds = verify(_laplacians(n, bit_rows), checks, tol)
+    _, prefix, bounds = verify(laplacians(n, rows), checks, tol)
     out = {}
     for check in checks:
         margins = bounds[check] - prefix
         idx = np.argmin(margins, axis=1)
         out[check] = (margins[np.arange(len(idx)), idx], idx + 1)
-    return out, bit_rows.sum(axis=1).astype(np.int64)
-
-
-def _int_bit_row(n: int, bits: int) -> np.ndarray:
-    """(1, P) edge bits in {0, 1} of a graph's packed bit integer."""
-    nbits = n * (n - 1) // 2
-    raw = bits.to_bytes((nbits + 7) // 8, "little")
-    row = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return row[None, :nbits]
+    return out, rows.sum(axis=1).astype(np.int64)
 
 
 def _g6_groups(records) -> tuple[dict[int, tuple], list[tuple[int, str]]]:
@@ -199,7 +173,7 @@ def _g6_groups(records) -> tuple[dict[int, tuple], list[tuple[int, str]]]:
         except Graph6Error as exc:
             errors.append((line_no, str(exc)))
             continue
-        pieces.setdefault(g.n, []).append((np.array([p]), _int_bit_row(g.n, g.bits)))
+        pieces.setdefault(g.n, []).append((np.array([p]), bit_rows(g.n, [g.bits])))
     groups = {n: (np.concatenate([pos for pos, _ in parts]),
                   np.concatenate([rows for _, rows in parts]))
               for n, parts in pieces.items()}
@@ -222,8 +196,7 @@ def _scan_chunk(payload) -> tuple[int, tuple[np.ndarray, ...], list]:
     else:
         n, start, stop = payload[3], payload[4], payload[5]
         masks = np.arange(start, stop)
-        rows = ((masks[:, None] >> np.arange(n * (n - 1) // 2)) & 1).astype(np.uint8)
-        groups, errors = {n: (masks - start, rows)}, []
+        groups, errors = {n: (masks - start, bit_rows(n, masks))}, []
     records = 0
     found = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0),)]
     for n, (pos, rows) in sorted(groups.items()):

@@ -1,5 +1,9 @@
 """Laplacian spectra, Laplacian energy, and eigenvalue prefix-sum bounds.
 
+Laplacians are built in one place: ``laplacians`` scatters a (B, P) stack
+of graph6-order edge-bit rows into (B, n, n) matrices D - A, and
+``laplacian`` of one graph is the stack of one.
+
 Every first solve is LAPACK's symmetric eigensolver (numpy.linalg.eigvalsh).
 The confirmer of flagged margins is a different algorithm: a cyclic Jacobi
 iteration, sweeps of plane rotations in a fixed pivot order until the
@@ -27,10 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, bit_rows
 
 DEFAULT_TOL = 1e-7
 OFF_TOL = 1e-12
@@ -44,16 +49,38 @@ class JacobiConvergenceError(RuntimeError):
     """The rotation budget ran out before the off-diagonal norm target."""
 
 
+@lru_cache(maxsize=64)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of each edge bit in graph6 order: bit p is the 0-based
+    pair (i, j), i < j, column-major, so rows hold j and cols hold i."""
+    return np.tril_indices(n, -1)
+
+
+def laplacians(n: int, bits: np.ndarray) -> np.ndarray:
+    """(B, n, n) Laplacians scattered from (B, P) edge bits in {0, 1}.
+
+    An absent edge is written as -0.0, the negated bit.  eigvalsh's
+    Householder signs follow the sign of a zero, so that sign is part of
+    the rounding every scan result was produced with.
+    """
+    rows, cols = _pair_index(n)
+    # negate only after the cast: -uint8 wraps to 255
+    off = -bits.astype(float)
+    lap = np.zeros((bits.shape[0], n, n))
+    lap[:, rows, cols] = off
+    lap[:, cols, rows] = off
+    diag = np.arange(n)
+    lap[:, diag, diag] = -lap.sum(axis=2)
+    return lap
+
+
 def laplacian(g: Graph) -> np.ndarray:
-    """Laplacian matrix L = D - A as float64."""
-    mat = np.zeros((g.n, g.n))
-    for u, v in g.edges():
-        i, j = u - 1, v - 1
-        mat[i, j] = -1.0
-        mat[j, i] = -1.0
-        mat[i, i] += 1.0
-        mat[j, j] += 1.0
-    return mat
+    """Laplacian matrix L = D - A as float64: ``laplacians`` of one row.
+
+    Adding 0.0 turns the scatter's -0.0 into +0.0, the zeros of D - A
+    that every per-graph report was produced with.
+    """
+    return laplacians(g.n, bit_rows(g.n, [g.bits]))[0] + 0.0
 
 
 def jacobi_eigenvalues(matrix, *, off_tol: float = OFF_TOL,

@@ -29,7 +29,8 @@ SPLIT_EDGES = "6 8\n1 2\n1 3\n2 3\n1 4\n1 5\n2 4\n2 5\n3 6\n"
 def run(capsys, monkeypatch):
     def _run(argv, stdin_text=None):
         if stdin_text is not None:
-            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+            stdin = io.TextIOWrapper(io.BytesIO(stdin_text.encode("utf-8")))
+            monkeypatch.setattr(sys, "stdin", stdin)
         rc = main(argv)
         captured = capsys.readouterr()
         return rc, captured.out, captured.err
@@ -232,6 +233,27 @@ class TestSearch:
         check_schema(payload)
         assert payload["records"] == 1
         assert payload["near_equality"][0]["k"] == 5
+
+    @pytest.mark.parametrize("bad", [b"B\xc3\xa9", b"B\xff"])
+    def test_non_ascii_file_matches_stdin(self, tmp_path, bad):
+        # a bad byte is an error of its own line, read from a file or stdin
+        data = b"Bw\n" + bad + b"\nDhc\n"
+        path = tmp_path / "bad.g6"
+        path.write_bytes(data)
+        cmd = [sys.executable, "-m", "specdom.cli", "search"]
+        from_file = subprocess.run(cmd + [str(path)], capture_output=True)
+        from_stdin = subprocess.run(cmd + ["-"], input=data, capture_output=True)
+        assert from_file.returncode == from_stdin.returncode == 2
+        assert from_file.stdout == from_stdin.stdout
+        out = from_file.stdout.decode("utf-8")
+        assert "records: 2\n" in out
+        assert "ERROR line 2: byte 1: " in out
+        cmd = [sys.executable, "-m", "specdom.cli", "analyze"]
+        from_file = subprocess.run(cmd + [str(path)], capture_output=True)
+        from_stdin = subprocess.run(cmd + ["-"], input=data, capture_output=True)
+        assert from_file.returncode == from_stdin.returncode == 2
+        assert from_file.stderr == from_stdin.stderr
+        assert from_file.stderr.startswith(b"error: byte 1: ")
 
     def test_progress_on_stderr(self, run):
         rc, out, err = run(["search", "--gen-all", "4", "--progress"])

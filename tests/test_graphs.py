@@ -38,6 +38,12 @@ class TestConstructors:
         assert complete_plus_isolated(0, 3).m == 0
         assert complete_plus_isolated(1, 3).m == 0
 
+    def test_complete_plus_isolated_is_clique_pairs(self):
+        for n in range(1, 13):
+            for c in range(n + 1):
+                clique = itertools.combinations(range(1, c + 1), 2)
+                assert complete_plus_isolated(c, n) == from_edge_list(n, clique)
+
     def test_from_edge_list(self):
         g = from_edge_list(4, [(1, 2), (2, 3), (2, 3)])
         assert g.m == 2

@@ -12,9 +12,9 @@ from specdom import spectra
 from specdom.graphs import (Graph, Graph6Error, decode_graph6,
                             decode_graph6_batch, encode_graph6)
 from specdom.scan import (CHUNK, GEN_ALL_MAX, NEAR_CAP, ScanSummary, _g6_groups,
-                          _kernel, _laplacians, _resolve_jobs, _validate_checks,
+                          _kernel, _resolve_jobs, _validate_checks,
                           scan_all_graphs, scan_graph6_lines)
-from specdom.spectra import laplacian
+from specdom.spectra import laplacian, laplacians
 
 C8 = "GhCGKC"
 K6_PLUS_2 = "G~~w??"
@@ -120,19 +120,33 @@ def bit_row(n, bits):
     return [(bits >> p) & 1 for p in range(n * (n - 1) // 2)]
 
 
+def d_minus_a(g):
+    """D - A of a graph, written entry by entry from its edge list."""
+    mat = [[0.0] * g.n for _ in range(g.n)]
+    for u, v in g.edges():
+        mat[u - 1][v - 1] = mat[v - 1][u - 1] = -1.0
+        mat[u - 1][u - 1] += 1.0
+        mat[v - 1][v - 1] += 1.0
+    return np.array(mat)
+
+
 class TestKernel:
     def test_scattered_laplacians_match_scalar(self):
         rng = random.Random(77)
-        for n in (1, 2, 7, 30):
-            graphs = [Graph(n, rng.getrandbits(n * (n - 1) // 2)) for _ in range(5)]
+        # n = 100 runs the one-row path through a 4950-bit integer
+        for n, count in ((1, 5), (2, 5), (7, 5), (30, 5), (62, 5), (100, 1)):
+            graphs = [Graph(n, rng.getrandbits(n * (n - 1) // 2)) for _ in range(count)]
             rows = np.array([bit_row(n, g.bits) for g in graphs], dtype=np.uint8)
-            stack = _laplacians(n, rows)
+            stack = laplacians(n, rows)
             for g, lap in zip(graphs, stack):
-                assert np.array_equal(lap, laplacian(g))
+                want = d_minus_a(g)
+                assert np.array_equal(lap, want)
+                # bytes, not just values: eigvalsh rounds by the sign of a zero
+                assert laplacian(g).tobytes() == want.tobytes()
 
     def test_empty_batch(self):
         rows = np.zeros((0, 21), dtype=np.uint8)
-        assert _laplacians(7, rows).shape == (0, 7, 7)
+        assert laplacians(7, rows).shape == (0, 7, 7)
         per_check, m = _kernel(7, rows, ("gmb", "brouwer", "std"))
         assert m.shape == (0,)
         for margins, ks in per_check.values():
