@@ -63,11 +63,13 @@ def _graphs_from_text(text: str) -> list[tuple[str, Graph]]:
         g = parse_edge_list(text)
         return [(encode_graph6(g), g)]
     out = []
-    for ln in stripped:
+    for line_no, ln in enumerate(stripped, start=1):
         if not ln:
             continue
-        g = decode_graph6(ln)
-        out.append((ln, g))
+        try:
+            out.append((ln, decode_graph6(ln)))
+        except Graph6Error as exc:
+            raise Graph6Error(f"line {line_no}: {exc}") from None
     return out
 
 

@@ -3,17 +3,20 @@
 Edges live in the strict upper triangle, stored column-major: the bit for
 the 0-based pair (i, j) with i < j sits at position j*(j-1)//2 + i.  This
 is exactly the bit order of the graph6 format, so encoding and decoding
-are straight bit runs.  This module is the one owner of that bit order:
-``decode_graph6_batch`` decodes many records of one length at once into
-numpy edge-bit rows and ``bit_rows`` unpacks packed bit integers into the
-same rows, for the scanner and the Laplacian builder.  Node names are
-1-based everywhere in the API.
+are straight bit runs.  This module is the one owner of that bit order,
+for one pair (``_bit_index``) and as index arrays (``_pair_index``), and
+every conversion is linear in the bits: a packed integer and its
+graph6-order bit text convert in one step each way, for the codec, the
+edge walk and edge-list packing; ``decode_graph6_batch`` and ``bit_rows``
+give numpy edge-bit rows.  Node names are 1-based everywhere in the API.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -34,19 +37,42 @@ def _bit_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
-@lru_cache(maxsize=None)
-def _bit_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """0-based (i, j) pair for each bit position, column-major."""
-    return tuple((i, j) for j in range(1, n) for i in range(j))
+@lru_cache(maxsize=64)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_bit_index`` in array form: (rows, cols) of every bit position in
+    order, so bit p is the pair (cols[p], rows[p]), column-major."""
+    return np.tril_indices(n, -1)
+
+
+def _bit_text(bits: int, nbits: int) -> str:
+    """The low ``nbits`` bits of ``bits`` as '0'/'1' text, bit 0 first."""
+    return bin(bits | 1 << nbits)[:2:-1]
+
+
+def _pack(text: str) -> int:
+    """Inverse of ``_bit_text``: the int whose bit p is text[p]."""
+    return int(text[::-1] or "0", 2)
 
 
 def _set_pairs(n: int, bits: int) -> Iterator[tuple[int, int]]:
     """0-based (i, j) pair of each set bit of ``bits``, lowest bit first."""
-    pairs = _bit_pairs(n)
-    while bits:
-        low = bits & -bits
-        yield pairs[low.bit_length() - 1]
-        bits ^= low
+    text = _bit_text(bits, n * (n - 1) // 2)
+    for j in range(1, n):
+        # column j holds the bits of pairs (0, j) .. (j - 1, j)
+        base = j * (j - 1) // 2
+        p = text.find("1", base, base + j)
+        while p >= 0:
+            yield p - base, j
+            p = text.find("1", p + 1, base + j)
+
+
+def _pair_bit(n: int, u: int, v: int) -> int:
+    """Bit position of the 1-based pair (u, v) on n nodes, either order."""
+    if u == v:
+        raise GraphInputError(f"self-loop ({u}, {v}) rejected")
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise GraphInputError(f"node out of range in pair ({u}, {v}) for n={n}")
+    return _bit_index(min(u, v) - 1, max(u, v) - 1)
 
 
 @dataclass(frozen=True)
@@ -59,8 +85,7 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"graph needs at least one node, got n={self.n}")
-        limit = 1 << (self.n * (self.n - 1) // 2)
-        if self.bits < 0 or self.bits >= limit:
+        if self.bits < 0 or self.bits.bit_length() > self.n * (self.n - 1) // 2:
             raise ValueError(f"edge bits out of range for n={self.n}")
 
     @property
@@ -71,8 +96,7 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         if u == v or not (1 <= u <= self.n and 1 <= v <= self.n):
             return False
-        i, j = min(u, v) - 1, max(u, v) - 1
-        return (self.bits >> _bit_index(i, j)) & 1 == 1
+        return (self.bits >> _pair_bit(self.n, u, v)) & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted 1-based edge list."""
@@ -80,11 +104,8 @@ class Graph:
 
     def degrees(self) -> tuple[int, ...]:
         """Degree of node u at index u-1."""
-        degs = [0] * self.n
-        for i, j in _set_pairs(self.n, self.bits):
-            degs[i] += 1
-            degs[j] += 1
-        return tuple(degs)
+        ends = Counter(chain.from_iterable(_set_pairs(self.n, self.bits)))
+        return tuple(ends[i] for i in range(self.n))
 
     def degree_sequence(self) -> DegreeSequence:
         """Degrees sorted into nonincreasing order."""
@@ -102,16 +123,10 @@ def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 1:
         raise GraphInputError(f"graph needs at least one node, got n={n}")
-    bits = 0
-    for pair in pairs:
-        u, v = pair
-        if u == v:
-            raise GraphInputError(f"self-loop ({u}, {v}) rejected")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise GraphInputError(f"node out of range in pair ({u}, {v}) for n={n}")
-        i, j = min(u, v) - 1, max(u, v) - 1
-        bits |= 1 << _bit_index(i, j)
-    return Graph(n, bits)
+    text = bytearray(b"0" * (n * (n - 1) // 2))
+    for u, v in pairs:
+        text[_pair_bit(n, u, v)] = ord("1")
+    return Graph(n, _pack(text.decode()))
 
 
 def cycle(n: int) -> Graph:
@@ -152,14 +167,15 @@ def disjoint_union(graphs: Iterable[Graph]) -> Graph:
     parts = list(graphs)
     if not parts:
         raise ValueError("disjoint union needs at least one graph")
-    n = sum(g.n for g in parts)
-    bits = 0
-    offset = 0
+    # global column n + j of a part on top of n earlier nodes is n zeros
+    # (no edges between parts) and then the part's own column j
+    columns = []
+    n = 0
     for g in parts:
-        for i, j in _set_pairs(g.n, g.bits):
-            bits |= 1 << _bit_index(i + offset, j + offset)
-        offset += g.n
-    return Graph(n, bits)
+        text = _bit_text(g.bits, g.n * (g.n - 1) // 2)
+        columns.extend("0" * n + text[j * (j - 1) // 2:j * (j + 1) // 2] for j in range(g.n))
+        n += g.n
+    return Graph(n, _pack("".join(columns)))
 
 
 # graph6 codec (format of McKay's nauty tools), bytes 63..126 only.
@@ -172,19 +188,11 @@ def _g6_size(s: str) -> tuple[int, int]:
     c0 = ord(s[0]) - 63
     if c0 < 63:
         return c0, 1
-    if len(s) >= 2 and s[1] == chr(126):
-        if len(s) < 8:
-            raise Graph6Error("byte 1: truncated 8-byte size header")
-        n = 0
-        for t in range(2, 8):
-            n = (n << 6) | (ord(s[t]) - 63)
-        return n, 8
-    if len(s) < 4:
-        raise Graph6Error("byte 0: truncated 4-byte size header")
-    n = 0
-    for t in range(1, 4):
-        n = (n << 6) | (ord(s[t]) - 63)
-    return n, 4
+    # "~~" and 6 size bytes from n = 258048 on, "~" and 3 below
+    start, end = (2, 8) if s[1:2] == chr(126) else (1, 4)
+    if len(s) < end:
+        raise Graph6Error(f"byte {start - 1}: truncated {end}-byte size header")
+    return int("".join([format(ord(c) - 63, "06b") for c in s[start:end]]), 2), end
 
 
 def decode_graph6(text: str) -> Graph:
@@ -208,18 +216,11 @@ def decode_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"byte {header_len}: body holds {body} characters, n={n} needs {expected}"
         )
-    bits = 0
-    for ci in range(expected):
-        val = ord(s[header_len + ci]) - 63
-        base = 6 * ci
-        for t in range(6):
-            if not (val >> (5 - t)) & 1:
-                continue
-            p = base + t
-            if p >= nbits:
-                raise Graph6Error(f"byte {header_len + ci}: nonzero padding bit")
-            bits |= 1 << p
-    return Graph(n, bits)
+    text = "".join([format(ord(c) - 63, "06b") for c in s[header_len:]])
+    pad = text.find("1", nbits)
+    if pad >= 0:
+        raise Graph6Error(f"byte {header_len + pad // 6}: nonzero padding bit")
+    return Graph(n, _pack(text[:nbits]))
 
 
 # longest graph6 record with a one-byte header: n = 62, 1891 bits in 316 bytes
@@ -289,17 +290,9 @@ def encode_graph6(g: Graph) -> str:
             chr(63 + ((n >> s) & 63)) for s in (30, 24, 18, 12, 6, 0)
         )
     nbits = n * (n - 1) // 2
-    bits = g.bits
-    chars = []
-    for base in range(0, nbits, 6):
-        val = 0
-        for t in range(6):
-            p = base + t
-            val <<= 1
-            if p < nbits and (bits >> p) & 1:
-                val |= 1
-        chars.append(chr(val + 63))
-    return header + "".join(chars)
+    text = _bit_text(g.bits, nbits) + "0" * (-nbits % 6)
+    return header + "".join([chr(int(text[k:k + 6], 2) + 63)
+                             for k in range(0, nbits, 6)])
 
 
 def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:
@@ -316,16 +309,10 @@ def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:
 def parse_edge_list(text: str) -> Graph:
     """Parse the "n m" edge-list format; errors carry 1-based line numbers."""
     lines = text.splitlines()
-    ln = 0
-    header = None
-    for ln, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if stripped:
-            header = (ln, stripped)
-            break
-    if header is None:
+    numbered = [(ln, raw.strip()) for ln, raw in enumerate(lines, start=1) if raw.strip()]
+    if not numbered:
         raise GraphInputError("line 1: missing 'n m' header")
-    hln, htext = header
+    (hln, htext), edge_lines = numbered[0], numbered[1:]
     fields = htext.split()
     if len(fields) != 2:
         raise GraphInputError(f"line {hln}: header must be 'n m', got {htext!r}")
@@ -338,12 +325,8 @@ def parse_edge_list(text: str) -> Graph:
     if m < 0:
         raise GraphInputError(f"line {hln}: edge count must be nonnegative, got {m}")
     pairs = []
-    seen = 0
-    for ln2 in range(hln + 1, len(lines) + 1):
-        stripped = lines[ln2 - 1].strip()
-        if not stripped:
-            continue
-        if seen == m:
+    for ln2, stripped in edge_lines:
+        if len(pairs) == m:
             raise GraphInputError(f"line {ln2}: extra content after {m} edges")
         fields = stripped.split()
         if len(fields) != 2:
@@ -353,13 +336,13 @@ def parse_edge_list(text: str) -> Graph:
         except ValueError:
             raise GraphInputError(f"line {ln2}: edge must be two integers, got {stripped!r}")
         try:
-            from_edge_list(n, [(u, v)])
+            _pair_bit(n, u, v)
         except GraphInputError as exc:
             raise GraphInputError(f"line {ln2}: {exc}")
         pairs.append((u, v))
-        seen += 1
-    if seen != m:
-        raise GraphInputError(f"line {len(lines)}: header promised {m} edges, found {seen}")
+    if len(pairs) != m:
+        raise GraphInputError(
+            f"line {len(lines)}: header promised {m} edges, found {len(pairs)}")
     return from_edge_list(n, pairs)
 
 

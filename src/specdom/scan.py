@@ -132,7 +132,7 @@ def _kernel(n: int, rows: np.ndarray, checks: Sequence[str],
     """Confirmed margins for one stack of graphs sharing a node count.
 
     rows is (B, P) edge bits in {0, 1}.  Returns, per check, arrays
-    (min_margin, worst_k) of shape (B,), plus the (B,) edge counts.
+    (min_margin, worst_k) of shape (B,).
     """
     _, prefix, bounds = verify(laplacians(n, rows), checks, tol)
     out = {}
@@ -140,7 +140,7 @@ def _kernel(n: int, rows: np.ndarray, checks: Sequence[str],
         margins = bounds[check] - prefix
         idx = np.argmin(margins, axis=1)
         out[check] = (margins[np.arange(len(idx)), idx], idx + 1)
-    return out, rows.sum(axis=1).astype(np.int64)
+    return out
 
 
 def _g6_groups(records) -> tuple[dict[int, tuple], list[tuple[int, str]]]:
@@ -201,7 +201,7 @@ def _scan_chunk(payload) -> tuple[int, tuple[np.ndarray, ...], list]:
     found = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0),)]
     for n, (pos, rows) in sorted(groups.items()):
         records += len(pos)
-        per_check, _ = _kernel(n, rows, checks, tol)
+        per_check = _kernel(n, rows, checks, tol)
         for ci, check in enumerate(checks):
             margins, ks = per_check[check]
             hit = np.flatnonzero((margins < -tol) | (margins < NEAR_EQUALITY))

@@ -1,8 +1,9 @@
 """Laplacian spectra, Laplacian energy, and eigenvalue prefix-sum bounds.
 
 Laplacians are built in one place: ``laplacians`` scatters a (B, P) stack
-of graph6-order edge-bit rows into (B, n, n) matrices D - A, and
-``laplacian`` of one graph is the stack of one.
+of graph6-order edge-bit rows into (B, n, n) matrices D - A through the
+pair index arrays of ``graphs``, and ``laplacian`` of one graph is the
+stack of one.
 
 Every first solve is LAPACK's symmetric eigensolver (numpy.linalg.eigvalsh).
 The confirmer of flagged margins is a different algorithm: a cyclic Jacobi
@@ -31,11 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, bit_rows
+from .graphs import Graph, _pair_index, bit_rows
 
 DEFAULT_TOL = 1e-7
 OFF_TOL = 1e-12
@@ -47,13 +47,6 @@ NEAR_EQUALITY = 1e-4
 
 class JacobiConvergenceError(RuntimeError):
     """The rotation budget ran out before the off-diagonal norm target."""
-
-
-@lru_cache(maxsize=64)
-def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of each edge bit in graph6 order: bit p is the 0-based
-    pair (i, j), i < j, column-major, so rows hold j and cols hold i."""
-    return np.tril_indices(n, -1)
 
 
 def laplacians(n: int, bits: np.ndarray) -> np.ndarray:
@@ -123,16 +116,12 @@ def jacobi_eigenvalues_batch(matrices, *, off_tol: float = OFF_TOL,
         if bool((off2 <= target * target).all()):
             diag = np.einsum("bii->bi", a)
             return np.sort(diag, axis=1)[:, ::-1].copy()
-        if sweep == max_sweeps and nmat == 1:
-            raise JacobiConvergenceError(
-                f"off-diagonal norm {math.sqrt(off2[0]):.3e} above "
-                f"{target[0]:.3e} after {max_sweeps} sweeps (n={n})"
-            )
         if sweep == max_sweeps:
-            stuck = int((off2 > target * target).sum())
+            w = int(np.argmax(off2 - target * target))
             raise JacobiConvergenceError(
-                f"{stuck} of {nmat} matrices above target after {max_sweeps} sweeps (n={n})"
-            )
+                f"{int((off2 > target * target).sum())} of {nmat} matrices above target "
+                f"after {max_sweeps} sweeps, worst off-diagonal norm "
+                f"{math.sqrt(off2[w]):.3e} above {target[w]:.3e} (n={n})")
         for p, q in pairs:
             apq = a[:, p, q]
             active = np.abs(apq) > skip

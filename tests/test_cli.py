@@ -94,6 +94,14 @@ class TestAnalyze:
         assert rc == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("text, line", [("Bw\n##bad##\nDhc\n", 2),
+                                            ("Bw\n\n##bad##\nDhc\n", 3)])
+    def test_bad_record_names_its_line(self, run, text, line):
+        # lines are counted as search counts them, blank ones included
+        rc, out, err = run(["analyze", "-"], stdin_text=text)
+        assert (rc, out) == (2, "")
+        assert f"error: line {line}: byte 0: character '#'" in err
+
     def test_missing_file(self, run):
         rc, _, err = run(["analyze", "/nonexistent/path.g6"])
         assert rc == 2
@@ -137,6 +145,13 @@ class TestBuild:
         rc, _, err = run(["build", "split-dominator", str(path), "1"])
         assert rc == 2
         assert "error:" in err
+
+    def test_split_dominator_bad_record_names_its_line(self, run, tmp_path):
+        path = tmp_path / "g.g6"
+        path.write_text("Bw\n##bad##\n")
+        rc, out, err = run(["build", "split-dominator", str(path), "1"])
+        assert (rc, out) == (2, "")
+        assert "error: line 2: byte 0: " in err
 
     def test_union_merge(self, run, tmp_path):
         path = tmp_path / "parts.txt"
@@ -253,7 +268,7 @@ class TestSearch:
         from_stdin = subprocess.run(cmd + ["-"], input=data, capture_output=True)
         assert from_file.returncode == from_stdin.returncode == 2
         assert from_file.stderr == from_stdin.stderr
-        assert from_file.stderr.startswith(b"error: byte 1: ")
+        assert from_file.stderr.startswith(b"error: line 2: byte 1: ")
 
     def test_progress_on_stderr(self, run):
         rc, out, err = run(["search", "--gen-all", "4", "--progress"])

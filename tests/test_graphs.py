@@ -2,13 +2,16 @@
 
 import itertools
 import random
+import time
 
+import numpy as np
 import pytest
 
 from specdom import (Graph, Graph6Error, GraphInputError, complement,
                      complete, complete_plus_isolated, cycle, decode_graph6,
                      disjoint_union, encode_graph6, format_edge_list,
                      from_edge_list, iter_graph6, parse_edge_list)
+from specdom.spectra import laplacian
 
 
 class TestConstructors:
@@ -204,3 +207,61 @@ class TestEdgeListFormat:
     def test_empty_input(self):
         with pytest.raises(GraphInputError):
             parse_edge_list("")
+
+
+class TestBitCodec:
+    """graph6, the edge walk and edge-list packing against references that
+    share none of their bit conversion: the Laplacian goes through
+    ``bit_rows``'s little-endian bytes."""
+
+    # 4-byte graph6 headers; 63 pads its last body byte, 64 fills it
+    NS = (63, 64, 100, 257)
+
+    @staticmethod
+    def seeded(n, seed):
+        return Graph(n, random.Random(seed).getrandbits(n * (n - 1) // 2))
+
+    def test_round_trip_four_byte_header(self):
+        for n in self.NS:
+            g = self.seeded(n, n)
+            text = encode_graph6(g)
+            assert text[0] == "~" and len(text) == 4 + (n * (n - 1) // 2 + 5) // 6
+            assert decode_graph6(text) == g
+
+    def test_walk_matches_laplacian(self):
+        for n in self.NS:
+            g = self.seeded(n, n + 1)
+            lap = laplacian(g)
+            rows, cols = np.nonzero(np.triu(lap, 1) == -1.0)
+            assert g.edges() == list(zip((rows + 1).tolist(), (cols + 1).tolist()))
+            assert g.degrees() == tuple(int(d) for d in np.diag(lap))
+
+    def test_packing_paths_agree(self):
+        for n in self.NS:
+            g, h = self.seeded(n, n + 2), self.seeded(n // 2, n + 3)
+            assert from_edge_list(n, g.edges()) == g
+            assert parse_edge_list(format_edge_list(g)) == g
+            shifted = [(u + n, v + n) for u, v in h.edges()]
+            assert disjoint_union([g, h]).edges() == g.edges() + shifted
+
+    def test_padding_error_names_last_byte(self):
+        # n = 63: 1953 bits, so the last of 326 body bytes has 3 padding bits
+        text = encode_graph6(self.seeded(63, 7))
+        bad = text[:-1] + chr(ord(text[-1]) + 1)
+        with pytest.raises(Graph6Error, match=f"^byte {len(text) - 1}: nonzero padding"):
+            decode_graph6(bad)
+
+    def test_n1000_budget(self):
+        # every conversion is linear in the 499,500 bits; a per-bit loop
+        # over a big int takes over a minute here
+        n = 1000
+        g = self.seeded(n, 1000)
+        started = time.perf_counter()
+        assert decode_graph6(encode_graph6(g)) == g
+        edges = g.edges()
+        assert len(edges) == g.m
+        assert sum(g.degrees()) == 2 * g.m
+        assert from_edge_list(n, edges) == g
+        assert parse_edge_list(format_edge_list(g)) == g
+        assert disjoint_union([g, g]).m == 2 * g.m
+        assert time.perf_counter() - started < 10.0
