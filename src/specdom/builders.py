@@ -15,21 +15,27 @@ diagrams columnwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .graphs import Graph, from_edge_list
 from .partitions import DegreeSequence, conjugate_counts
 
 
+@dataclass(frozen=True)
 class ThresholdGraph:
     """Threshold graph given by below-diagonal column counts.
 
     ``cols`` must be strictly decreasing positive integers with
-    c_i <= n - i; the empty sequence is the edgeless graph.
+    c_i <= n - i; the empty sequence is the edgeless graph.  Any sequence
+    of integers is accepted and stored as a tuple of ints.
     """
 
-    def __init__(self, n: int, cols: Sequence[int]):
-        cols = tuple(int(c) for c in cols)
+    n: int
+    cols: tuple[int, ...]
+
+    def __post_init__(self):
+        n, cols = self.n, tuple(int(c) for c in self.cols)
         if n < 1:
             raise ValueError(f"threshold graph needs at least one node, got n={n}")
         for idx, c in enumerate(cols, start=1):
@@ -40,8 +46,7 @@ class ThresholdGraph:
         for a, b in zip(cols, cols[1:]):
             if b >= a:
                 raise ValueError(f"column counts must strictly decrease, got {a} then {b}")
-        self.n = n
-        self.cols = cols
+        object.__setattr__(self, "cols", cols)
 
     @property
     def trace(self) -> int:
@@ -64,12 +69,7 @@ class ThresholdGraph:
 
     def spectrum_prefix(self) -> tuple[int, ...]:
         """Cumulative eigenvalue sums for k = 1..n, exact integers."""
-        out = []
-        running = 0
-        for v in self.spectrum_ints():
-            running += v
-            out.append(running)
-        return tuple(out)
+        return tuple(accumulate(self.spectrum_ints()))
 
     def realize(self) -> Graph:
         """Concrete labelled graph: node i has the i-th largest degree.
@@ -85,17 +85,6 @@ class ThresholdGraph:
     def serialize(self) -> str:
         """Text form "n: c_1 c_2 ... c_f" (just "n:" when edgeless)."""
         return format_threshold(self.n, self.cols)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ThresholdGraph):
-            return NotImplemented
-        return self.n == other.n and self.cols == other.cols
-
-    def __hash__(self) -> int:
-        return hash(("ThresholdGraph", self.n, self.cols))
-
-    def __repr__(self) -> str:
-        return f"ThresholdGraph(n={self.n}, cols={list(self.cols)!r})"
 
 
 # " c" for the column counts c of every threshold graph on up to 256 nodes
@@ -268,15 +257,13 @@ def brouwer_extremal(n: int, m: int, k: int) -> ThresholdGraph:
     """Threshold graph on n nodes and m edges whose first k eigenvalues sum
     to min(k*n, m + k(k+1)/2, 2m), the largest value any graph attains."""
     plan = brouwer_extremal_plan(n, m, k)
-    if m == 0:
-        return ThresholdGraph(n, ())
     if plan.case == 1:
         return ThresholdGraph(n, _case1_cols(n, m))
+    h, r = plan.h, plan.r
     if plan.case == 2:
-        h, r = plan.h, plan.r
         conj = [h + 1] * r + [h] * (k - r)
     else:
-        h, r = plan.h, plan.r
+        # at m = 0 this is [0], which leaves no column
         conj = [h + 2] * r + [h + 1] * (h - r) + [r]
     cols = [conj[i] - (i + 1) for i in range(len(conj)) if conj[i] - (i + 1) > 0]
     return ThresholdGraph(n, cols)

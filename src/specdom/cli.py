@@ -183,8 +183,14 @@ def _build_threshold(args) -> tuple[ThresholdGraph, dict | None]:
     if args.builder == "clique-isolated":
         return clique_plus_isolated_threshold(args.n), None
     if args.builder == "union-merge":
-        lines = [ln for ln in _read_text(args.file).splitlines() if ln.strip()]
-        return union_merge([parse_threshold(ln) for ln in lines]), None
+        parts = []
+        for line_no, ln in enumerate(_read_text(args.file).splitlines(), start=1):
+            try:
+                if ln.strip():
+                    parts.append(parse_threshold(ln))
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
+        return union_merge(parts), None
     if args.builder == "split-dominator":
         text = _read_text(args.file)
         records = _graphs_from_text(text)

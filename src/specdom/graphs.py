@@ -13,10 +13,8 @@ give numpy edge-bit rows.  Node names are 1-based everywhere in the API.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -104,8 +102,11 @@ class Graph:
 
     def degrees(self) -> tuple[int, ...]:
         """Degree of node u at index u-1."""
-        ends = Counter(chain.from_iterable(_set_pairs(self.n, self.bits)))
-        return tuple(ends[i] for i in range(self.n))
+        degs = [0] * self.n
+        for i, j in _set_pairs(self.n, self.bits):
+            degs[i] += 1
+            degs[j] += 1
+        return tuple(degs)
 
     def degree_sequence(self) -> DegreeSequence:
         """Degrees sorted into nonincreasing order."""

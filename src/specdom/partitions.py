@@ -17,6 +17,7 @@ an exact involution on the stored tuples.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable
 
 
@@ -27,18 +28,12 @@ def conjugate_counts(parts: Iterable[int], length: int) -> tuple[int, ...]:
     result is always a valid partition of min-capped total; callers keep
     parts within range.
     """
-    occurrences = [0] * (length + 2)
+    occurrences = [0] * (length + 1)
     for p in parts:
-        if p <= 0:
-            continue
-        occurrences[min(p, length)] += 1
-    out = []
-    running = 0
-    for i in range(length, 0, -1):
-        running += occurrences[i]
-        out.append(running)
-    out.reverse()
-    return tuple(out)
+        if p > 0:
+            occurrences[min(p, length)] += 1
+    # column i counts the parts of size i and above: suffix sums from the top
+    return tuple(accumulate(occurrences[:0:-1]))[::-1]
 
 
 class _Sequence:
@@ -83,7 +78,8 @@ class DegreeSequence(_Sequence):
     """Nonincreasing degree sequence of length n with entries in [0, n-1].
 
     Input values are sorted into nonincreasing order and zero-padded to
-    length ``n`` (default: the number of values given).
+    length ``n`` (default: the number of values given).  The conjugate and
+    the trace are computed once, here; every method reads them.
     """
 
     def __init__(self, values: Iterable[int], n: int | None = None):
@@ -99,34 +95,26 @@ class DegreeSequence(_Sequence):
             if v < 0 or v > n - 1:
                 raise ValueError(f"degree {v} outside [0, {n - 1}] for n={n}")
         self.values = tuple(vals)
+        self._conj = conjugate_counts(vals, n)
+        # d_i - i strictly decreases, so d_i >= i holds on a prefix
+        self._trace = sum(d >= i for i, d in enumerate(vals, start=1))
 
     def conjugate(self) -> "ConjugateSequence":
         """Column counts of the Ferrers diagram, padded to length n."""
-        return ConjugateSequence(conjugate_counts(self.values, self.n), self.n)
+        return ConjugateSequence(self._conj, self.n)
 
     def trace(self) -> int:
         """Largest i with d_i >= i (0 for the all-zero sequence)."""
-        f = 0
-        for i, d in enumerate(self.values, start=1):
-            if d >= i:
-                f = i
-            else:
-                break
-        return f
+        return self._trace
 
     def is_split(self) -> bool:
         """Whether boxes on/above the diagonal equal boxes below it."""
-        f = self.trace()
-        above = sum(self.values[i] - i for i in range(f))
-        conj = conjugate_counts(self.values, self.n)
-        below = sum(conj[i] - (i + 1) for i in range(f))
-        return above == below
+        f = self._trace
+        return sum(self.values[:f]) - f * (f - 1) // 2 == sum(self.below_columns())
 
     def is_threshold(self) -> bool:
         """Whether d*_i == d_i + 1 for every i up to the trace."""
-        f = self.trace()
-        conj = conjugate_counts(self.values, self.n)
-        return all(conj[i] == self.values[i] + 1 for i in range(f))
+        return all(c == d + 1 for c, d in zip(self._conj[:self._trace], self.values))
 
     def below_columns(self) -> tuple[int, ...]:
         """Below-diagonal column counts c_i = d*_i - i for i = 1..trace.
@@ -134,9 +122,7 @@ class DegreeSequence(_Sequence):
         For a split sequence these are strictly decreasing and only the
         final entry can be zero; for a threshold sequence all are positive.
         """
-        f = self.trace()
-        conj = conjugate_counts(self.values, self.n)
-        return tuple(conj[i] - (i + 1) for i in range(f))
+        return tuple(c - i for i, c in enumerate(self._conj[:self._trace], start=1))
 
 
 class ConjugateSequence(_Sequence):
@@ -163,12 +149,7 @@ class ConjugateSequence(_Sequence):
 
     def prefix_sums(self) -> tuple[int, ...]:
         """Cumulative sums sum_{i<=k} d*_i for k = 1..n."""
-        out = []
-        running = 0
-        for v in self.values:
-            running += v
-            out.append(running)
-        return tuple(out)
+        return tuple(accumulate(self.values))
 
 
 def _as_sequence(d) -> DegreeSequence:

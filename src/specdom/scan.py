@@ -89,7 +89,6 @@ class ScanSummary:
     errors: list[RecordError]
     wall_time: float
     jobs: int
-    near_cap: int = NEAR_CAP
 
     @property
     def exit_code(self) -> int:
@@ -115,7 +114,7 @@ class ScanSummary:
                 f"NEAR {e.record} check={e.check} k={e.k} margin={e.margin:.12g}"
             )
         if self.near_count > len(self.near):
-            lines.append(f"(near-equality list capped at {self.near_cap})")
+            lines.append(f"(near-equality list capped at {NEAR_CAP})")
         lines.append(f"errors: {len(self.errors)}")
         for err in self.errors:
             lines.append(f"ERROR line {err.line}: {err.message}")

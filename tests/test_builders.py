@@ -5,9 +5,11 @@ required to attain; cross-checks realize each construction as a graph
 and re-derive everything from degrees.
 """
 
+import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from specdom import (ThresholdGraph, brouwer_extremal, brouwer_extremal_plan,
@@ -67,6 +69,15 @@ class TestThresholdGraph:
             ThresholdGraph(4, (2, 2))
         with pytest.raises(ValueError):
             ThresholdGraph(4, (0,))
+
+    def test_value_object_over_any_int_sequence(self):
+        forms = [ThresholdGraph(8, [4, 3, 1]), ThresholdGraph(8, (4, 3, 1)),
+                 ThresholdGraph(8, np.array([4, 3, 1]))]
+        for t in forms:
+            assert t == forms[0] and hash(t) == hash(forms[0])
+            assert t.cols == (4, 3, 1) and all(type(c) is int for c in t.cols)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            forms[0].cols = (5,)
 
     def test_from_below_columns_strips_nothing(self):
         t = from_below_columns(6, (5, 3))
@@ -140,6 +151,11 @@ class TestBrouwerExtremal:
     def test_edgeless(self):
         t = brouwer_extremal(6, 0, 3)
         assert t.cols == () and t.m == 0
+
+    def test_edgeless_every_size_and_position(self):
+        for n in range(1, 41):
+            for k in range(1, n + 1):
+                assert brouwer_extremal(n, 0, k).cols == (), (n, k)
 
     def test_infeasible_rejected(self):
         with pytest.raises(ValueError):

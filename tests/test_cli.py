@@ -160,6 +160,22 @@ class TestBuild:
         assert rc == 0
         assert "threshold: 7: 5 1" in out
 
+    def test_union_merge_bad_columns_name_the_line(self, run, tmp_path):
+        # blank lines count, as in search and analyze
+        path = tmp_path / "parts.txt"
+        path.write_text("3: 2 1\n\n4: 4\n")
+        rc, out, err = run(["build", "union-merge", str(path)])
+        assert (rc, out) == (2, "")
+        assert err == "error: line 3: column count c_1=4 exceeds n - 1 = 3\n"
+
+    def test_union_merge_bad_token_names_the_line(self, run, tmp_path):
+        path = tmp_path / "parts.txt"
+        path.write_text("3: 2 1\n4: x\n")
+        rc, out, err = run(["build", "union-merge", str(path)])
+        assert (rc, out) == (2, "")
+        assert err == ("error: line 2: bad column count in threshold "
+                       "record '4: x'\n")
+
     def test_pineapple(self, run):
         rc, out, _ = run(["build", "pineapple", "8", "6"])
         assert rc == 0

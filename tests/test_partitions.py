@@ -96,6 +96,25 @@ class TestConjugate:
         assert tuple(d.conjugate()) == (0, 0, 0)
         assert d.trace() == 0
 
+    def test_conjugate_counted_once_per_sequence(self, monkeypatch):
+        import specdom.partitions as partitions
+
+        calls = []
+        counts = partitions.conjugate_counts
+
+        def counting(parts, length):
+            calls.append(length)
+            return counts(parts, length)
+
+        monkeypatch.setattr(partitions, "conjugate_counts", counting)
+        d = DegreeSequence([4, 4, 3, 3, 2, 0, 0, 0])
+        for _ in range(2):
+            assert tuple(d.conjugate()) == (5, 5, 4, 2, 0, 0, 0, 0)
+            assert d.trace() == 3
+            assert d.is_split() and d.is_threshold()
+            assert d.below_columns() == (4, 3, 1)
+        assert calls == [8]
+
     def test_free_function_accepts_plain_lists(self):
         assert tuple(conjugate([2, 2, 2])) == (3, 3, 0)
 
