@@ -159,10 +159,7 @@ def _oracle_table(n: int, m: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...
 
 
 def _energy_fields(g: Graph, spec: Spectrum, tol: float):
-    """Energy witness columns and the (graph, witness) energy pair."""
-    if g.m == 0:
-        t = ThresholdGraph(g.n, ())
-        return t, (0.0, 0.0), True
+    """Energy witness, the (graph, witness) energy pair, and whether it dominates."""
     kstar = energy_count(spec)
     t = brouwer_extremal(g.n, g.m, max(kstar, 1))
     le_g = laplacian_energy(spec)
@@ -179,7 +176,7 @@ def _assemble(g: Graph, tol: float, graph_id: str | None, route: str,
         n=g.n,
         m=g.m,
         spectrum=spec.values,
-        energy=laplacian_energy(spec),
+        energy=pair[0],
         gmb=checked["gmb"],
         brouwer=checked["brouwer"],
         std=checked["std"],

@@ -308,7 +308,8 @@ def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the "n m" edge-list format; errors carry 1-based line numbers."""
+    """Parse the "n m" edge-list format; errors carry 1-based line numbers.
+    A pair listed twice, in either order, is an error."""
     lines = text.splitlines()
     numbered = [(ln, raw.strip()) for ln, raw in enumerate(lines, start=1) if raw.strip()]
     if not numbered:
@@ -325,7 +326,7 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphInputError(f"line {hln}: node count must be positive, got {n}")
     if m < 0:
         raise GraphInputError(f"line {hln}: edge count must be nonnegative, got {m}")
-    pairs = []
+    pairs: dict[int, tuple[int, int]] = {}
     for ln2, stripped in edge_lines:
         if len(pairs) == m:
             raise GraphInputError(f"line {ln2}: extra content after {m} edges")
@@ -337,14 +338,16 @@ def parse_edge_list(text: str) -> Graph:
         except ValueError:
             raise GraphInputError(f"line {ln2}: edge must be two integers, got {stripped!r}")
         try:
-            _pair_bit(n, u, v)
+            bit = _pair_bit(n, u, v)
         except GraphInputError as exc:
             raise GraphInputError(f"line {ln2}: {exc}")
-        pairs.append((u, v))
+        if bit in pairs:
+            raise GraphInputError(f"line {ln2}: duplicate edge ({u}, {v})")
+        pairs[bit] = (u, v)
     if len(pairs) != m:
         raise GraphInputError(
             f"line {len(lines)}: header promised {m} edges, found {len(pairs)}")
-    return from_edge_list(n, pairs)
+    return from_edge_list(n, pairs.values())
 
 
 def format_edge_list(g: Graph) -> str:

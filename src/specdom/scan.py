@@ -1,13 +1,15 @@
 """Bulk scanning of graph streams against spectral bounds.
 
-This module only chunks the input, calls the kernel and assembles events:
-the edge-bit order belongs to ``graphs`` and the Laplacian to ``spectra``.
+This module only chunks the input, calls ``spectra.verify`` and assembles
+events: the edge-bit order belongs to ``graphs``, and the Laplacian and
+the margins to ``spectra``.
 
 The stream is cut into fixed-size chunks before any worker is involved,
-every chunk is processed by the same batched kernel (``spectra.laplacians``
-on the edge-bit rows, then ``spectra.verify``: one batched LAPACK eigvalsh
-and exact integer bounds), and chunk results are reassembled in input
-order.  The summary is therefore byte-identical whatever the worker count;
+every chunk is processed by the same batched path (``spectra.laplacians``
+on the edge-bit rows, then ``spectra.verify``: one batched LAPACK eigvalsh,
+exact integer bounds and the margin rows bound - prefix), each record's
+worst k and margin are read straight off its margin rows, and chunk
+results are reassembled in input order.  The summary is therefore byte-identical whatever the worker count;
 wall time (from the first line read) and worker count are reported
 separately and never enter the deterministic payload.
 
@@ -22,7 +24,7 @@ the edge masks of generated chunks, into the same rows.  Events come back
 as arrays (position, check, k, margin, violation flag) ordered by position
 and check, and only the events the summary lists become objects.
 
-Inside the kernel, a record that some check flags as a violation is
+Inside ``verify``, a record that some check flags as a violation is
 confirmed once, all its checks together: the flagged records of a stack
 are re-solved in one batch by the Jacobi confirmer at a 100x tighter
 tolerance, and every check of such a record reads its margin from that
@@ -35,9 +37,10 @@ from __future__ import annotations
 import os
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -126,22 +129,6 @@ class ScanSummary:
                 f"({self.jobs} {worker})\n")
 
 
-def _kernel(n: int, rows: np.ndarray, checks: Sequence[str],
-            tol: float = DEFAULT_TOL):
-    """Confirmed margins for one stack of graphs sharing a node count.
-
-    rows is (B, P) edge bits in {0, 1}.  Returns, per check, arrays
-    (min_margin, worst_k) of shape (B,).
-    """
-    _, prefix, bounds = verify(laplacians(n, rows), checks, tol)
-    out = {}
-    for check in checks:
-        margins = bounds[check] - prefix
-        idx = np.argmin(margins, axis=1)
-        out[check] = (margins[np.arange(len(idx)), idx], idx + 1)
-    return out
-
-
 def _g6_groups(records) -> tuple[dict[int, tuple], list[tuple[int, str]]]:
     """Decode a chunk of (line, text) records into bit-row groups by n.
 
@@ -200,11 +187,12 @@ def _scan_chunk(payload) -> tuple[int, tuple[np.ndarray, ...], list]:
     found = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0),)]
     for n, (pos, rows) in sorted(groups.items()):
         records += len(pos)
-        per_check = _kernel(n, rows, checks, tol)
+        margins = verify(laplacians(n, rows), checks, tol)[3]
         for ci, check in enumerate(checks):
-            margins, ks = per_check[check]
-            hit = np.flatnonzero((margins < -tol) | (margins < NEAR_EQUALITY))
-            found.append((pos[hit], np.full(len(hit), ci), ks[hit], margins[hit]))
+            idx = margins[check].argmin(axis=1)
+            worst = margins[check][np.arange(len(idx)), idx]
+            hit = np.flatnonzero((worst < -tol) | (worst < NEAR_EQUALITY))
+            found.append((pos[hit], np.full(len(hit), ci), idx[hit] + 1, worst[hit]))
     pos, check, k, margin = (np.concatenate(col) for col in zip(*found))
     order = np.lexsort((check, pos))
     margin = margin[order]
@@ -237,17 +225,13 @@ def _resolve_jobs(jobs: int | None) -> int:
 
 
 def _run_chunks(payloads: list, jobs: int, progress: bool) -> Iterator:
-    if jobs == 1 or len(payloads) <= 1:
-        for i, payload in enumerate(payloads):
-            yield _scan_chunk(payload)
-            if progress:
-                print(f"progress: {i + 1}/{len(payloads)} chunks", file=sys.stderr)
-        return
-    with Pool(processes=min(jobs, len(payloads))) as pool:
-        for i, result in enumerate(pool.imap(_scan_chunk, payloads)):
+    pooled = jobs > 1 and len(payloads) > 1
+    with Pool(min(jobs, len(payloads))) if pooled else nullcontext() as pool:
+        results = pool.imap(_scan_chunk, payloads) if pooled else map(_scan_chunk, payloads)
+        for i, result in enumerate(results, start=1):
             yield result
             if progress:
-                print(f"progress: {i + 1}/{len(payloads)} chunks", file=sys.stderr)
+                print(f"progress: {i}/{len(payloads)} chunks", file=sys.stderr)
 
 
 def _record_text(payload, pos: int) -> str:

@@ -23,9 +23,11 @@ bound side:
 One batched verdict core serves every caller, a single graph being the
 batch of one: ``bound_rows`` writes the three bounds as exact integer
 rows, ``solve`` is the only eigensolve, and ``verify`` solves a stack,
-bounds every row and re-solves the rows some check flags by the Jacobi
-confirmer at a 100x tighter tolerance before a violation is believed.
-``reports`` turns one graph's verdict into CheckReports.
+bounds every row, re-solves the rows some check flags by the Jacobi
+confirmer at a 100x tighter tolerance before a violation is believed,
+and returns the margin rows bound - prefix.  Every verdict reads those
+rows: the scan takes each record's worst k and margin from them, and
+``reports`` turns one graph's rows into CheckReports.
 """
 
 from __future__ import annotations
@@ -255,24 +257,30 @@ def bound_rows(n: int, degrees) -> dict[str, np.ndarray]:
 
 
 def verify(laps: np.ndarray, checks, tol: float
-           ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Spectra, Kahan prefix sums and exact bound rows of a (B, n, n)
-    stack of Laplacians.
+           ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray],
+                      dict[str, np.ndarray]]:
+    """Spectra, Kahan prefix sums, exact bound rows and margin rows of a
+    (B, n, n) stack of Laplacians.
 
     Every row is solved once.  Rows where some requested check misses by
     more than ``tol`` are re-solved together by the Jacobi confirmer at
-    CONFIRM_TOL, and their spectra and prefix sums are replaced.
+    CONFIRM_TOL, and their spectra, prefix sums and margins are replaced.
+    The margins are ``bounds[check] - prefix`` for each requested check,
+    the one table every verdict reads.
     """
     bounds = bound_rows(laps.shape[1], np.einsum("bii->bi", laps))
     eigs = solve(laps)
     prefix = kahan_cumsum(eigs)
+    margins = {check: bounds[check] - prefix for check in checks}
     flagged = np.zeros(len(laps), dtype=bool)
-    for check in checks:
-        flagged |= (bounds[check] - prefix).min(axis=1, initial=np.inf) < -tol
+    for row in margins.values():
+        flagged |= row.min(axis=1, initial=np.inf) < -tol
     if flagged.any():
         eigs[flagged] = solve(laps[flagged], CONFIRM_TOL)
         prefix[flagged] = kahan_cumsum(eigs[flagged])
-    return eigs, prefix, bounds
+        for check, row in margins.items():
+            row[flagged] = bounds[check][flagged] - prefix[flagged]
+    return eigs, prefix, bounds, margins
 
 
 def cycle_spectrum(n: int) -> Spectrum:
@@ -344,36 +352,23 @@ class CheckReport:
     near_ks: tuple[int, ...]
 
 
-def report_from_bounds(check: str, n: int, m: int, tol: float, eig_prefix,
-                       bounds, effective=None) -> CheckReport:
-    """Assemble a CheckReport from eigenvalue prefix sums and exact bounds."""
-    entries = []
-    worst_k = 1
-    min_margin = math.inf
-    near = []
-    for i in range(n):
-        k = i + 1
-        margin = float(bounds[i]) - eig_prefix[i]
-        eff = float(effective[i]) if effective is not None else None
-        entries.append(KEntry(k, eig_prefix[i], float(bounds[i]), margin, eff))
-        if margin < min_margin:
-            min_margin = margin
-            worst_k = k
-        if margin < NEAR_EQUALITY:
-            near.append(k)
-    return CheckReport(check, n, m, tol, tuple(entries),
-                       min_margin >= -tol, worst_k, min_margin, tuple(near))
-
-
 def reports(g: Graph, checks, tol: float) -> tuple[Spectrum, dict[str, CheckReport]]:
     """One graph through ``verify``: its spectrum and a CheckReport per
-    check.  Brouwer entries carry the std row as their effective bound."""
-    eigs, prefix, bounds = verify(laplacian(g)[None], checks, tol)
+    check, read off the check's margin row (worst k is the first smallest
+    margin).  Brouwer entries carry the std row as their effective bound."""
+    eigs, prefix, bounds, margins = verify(laplacian(g)[None], checks, tol)
     pref = prefix[0].tolist()
-    rows = {check: row[0].tolist() for check, row in bounds.items()}
-    out = {check: report_from_bounds(check, g.n, g.m, tol, pref, rows[check],
-                                     rows["std"] if check == "brouwer" else None)
-           for check in checks}
+    std = bounds["std"][0].astype(float).tolist()
+    out = {}
+    for check in checks:
+        row = margins[check][0].tolist()
+        low = min(row)
+        effective = std if check == "brouwer" else [None] * g.n
+        entries = tuple(map(KEntry, range(1, g.n + 1), pref,
+                            bounds[check][0].astype(float).tolist(), row, effective))
+        out[check] = CheckReport(
+            check, g.n, g.m, tol, entries, low >= -tol, row.index(low) + 1, low,
+            tuple(k for k, margin in enumerate(row, 1) if margin < NEAR_EQUALITY))
     return Spectrum(tuple(eigs[0].tolist()), g.n, g.m), out
 
 

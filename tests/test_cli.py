@@ -102,6 +102,17 @@ class TestAnalyze:
         assert (rc, out) == (2, "")
         assert f"error: line {line}: byte 0: character '#'" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("3 3\n1 2\n1 2\n1 2\n", "line 3: duplicate edge (1, 2)"),
+        ("3 2\n1 2\n2 1\n", "line 3: duplicate edge (2, 1)"),
+    ])
+    def test_duplicate_edge_is_an_error(self, run, tmp_path, text, message):
+        path = tmp_path / "dup.edges"
+        path.write_text(text)
+        rc, out, err = run(["analyze", str(path)])
+        assert (rc, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_missing_file(self, run):
         rc, _, err = run(["analyze", "/nonexistent/path.g6"])
         assert rc == 2

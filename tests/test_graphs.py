@@ -208,6 +208,19 @@ class TestEdgeListFormat:
         with pytest.raises(GraphInputError):
             parse_edge_list("")
 
+    @pytest.mark.parametrize("text, message", [
+        ("3 3\n1 2\n1 2\n1 2\n", "line 3: duplicate edge (1, 2)"),
+        ("3 2\n1 2\n2 1\n", "line 3: duplicate edge (2, 1)"),
+        ("4 3\n\n1 2\n3 4\n\n4 3\n", "line 6: duplicate edge (4, 3)"),
+    ])
+    def test_duplicate_pair_rejected(self, text, message):
+        # a repeated pair would make the graph's m differ from the header's
+        with pytest.raises(GraphInputError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == message
+        # the constructor still collapses it
+        assert from_edge_list(4, [(1, 2), (2, 1), (1, 2)]).m == 1
+
 
 class TestBitCodec:
     """graph6, the edge walk and edge-list packing against references that

@@ -12,9 +12,9 @@ from specdom import spectra
 from specdom.graphs import (Graph, Graph6Error, decode_graph6,
                             decode_graph6_batch, encode_graph6)
 from specdom.scan import (CHUNK, GEN_ALL_MAX, NEAR_CAP, ScanSummary, _g6_groups,
-                          _kernel, _resolve_jobs, _validate_checks,
+                          _resolve_jobs, _validate_checks,
                           scan_all_graphs, scan_graph6_lines)
-from specdom.spectra import laplacian, laplacians
+from specdom.spectra import laplacian, laplacians, verify
 
 C8 = "GhCGKC"
 K6_PLUS_2 = "G~~w??"
@@ -130,6 +130,13 @@ def d_minus_a(g):
     return np.array(mat)
 
 
+def worst_per_check(n, rows, checks, tol=spectra.DEFAULT_TOL):
+    """Per check, (min margin, worst k) arrays read off verify's margin rows."""
+    margins = verify(laplacians(n, rows), checks, tol)[3]
+    return {check: (row.min(axis=1), row.argmin(axis=1) + 1)
+            for check, row in margins.items()}
+
+
 class TestKernel:
     def test_scattered_laplacians_match_scalar(self):
         rng = random.Random(77)
@@ -147,7 +154,7 @@ class TestKernel:
     def test_empty_batch(self):
         rows = np.zeros((0, 21), dtype=np.uint8)
         assert laplacians(7, rows).shape == (0, 7, 7)
-        per_check = _kernel(7, rows, ("gmb", "brouwer", "std"))
+        per_check = worst_per_check(7, rows, ("gmb", "brouwer", "std"))
         for margins, ks in per_check.values():
             assert margins.shape == ks.shape == (0,)
 
@@ -213,7 +220,7 @@ class TestBatchDecode:
                 errors.append(f"ERROR line {line}: {exc}")
                 continue
             rows = np.array([bit_row(g.n, g.bits)], dtype=np.uint8)
-            per_check = _kernel(g.n, rows, checks)
+            per_check = worst_per_check(g.n, rows, checks)
             for check in checks:
                 margin, k = per_check[check][0][0], per_check[check][1][0]
                 assert margin >= -spectra.DEFAULT_TOL
@@ -280,7 +287,7 @@ class TestConfirm:
             (K6_PLUS_2, "brouwer", 5)]
         rows = np.array([bit_row(8, decode_graph6(t).bits)
                          for t in (C8, K6_PLUS_2, C8)], dtype=np.uint8)
-        per_check = _kernel(8, rows, ("brouwer",), tol=-1.0)
+        per_check = worst_per_check(8, rows, ("brouwer",), tol=-1.0)
         margins, ks = per_check["brouwer"]
         for r in (0, 2):
             assert ks[r] == 3
