@@ -55,8 +55,8 @@ def laplacians(n: int, bits: np.ndarray) -> np.ndarray:
     """(B, n, n) Laplacians scattered from (B, P) edge bits in {0, 1}.
 
     An absent edge is written as -0.0, the negated bit.  eigvalsh's
-    Householder signs follow the sign of a zero, so that sign is part of
-    the rounding every scan result was produced with.
+    Householder signs follow the sign of a zero, so every result, a scan
+    row or one graph's report, is solved with this one sign.
     """
     rows, cols = _pair_index(n)
     # negate only after the cast: -uint8 wraps to 255
@@ -70,12 +70,10 @@ def laplacians(n: int, bits: np.ndarray) -> np.ndarray:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Laplacian matrix L = D - A as float64: ``laplacians`` of one row.
-
-    Adding 0.0 turns the scatter's -0.0 into +0.0, the zeros of D - A
-    that every per-graph report was produced with.
-    """
-    return laplacians(g.n, bit_rows(g.n, [g.bits]))[0] + 0.0
+    """Laplacian matrix L = D - A as float64: ``laplacians`` of one row,
+    byte for byte, -0.0 zeros included, so a graph's report solves the
+    same matrix as its row in a scan."""
+    return laplacians(g.n, bit_rows(g.n, [g.bits]))[0]
 
 
 def jacobi_eigenvalues(matrix, *, off_tol: float = OFF_TOL,

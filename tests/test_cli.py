@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,9 @@ except ImportError:
     jsonschema = None
 
 from specdom import enumerate_threshold
+from specdom.builders import brouwer_extremal
 from specdom.cli import main
+from specdom.graphs import Graph, encode_graph6, from_edge_list
 
 C8 = "GhCGKC"
 K6_PLUS_2 = "G~~w??"
@@ -365,6 +368,55 @@ class TestEnumerate:
         assert rc == 2
         assert out == ""
         assert f"edge count m={m} outside 0..6" in err
+
+
+def mixed_corpus() -> str:
+    """Seeded graph6 lines, n 10..30: per n a random graph and a relabelled
+    extremal threshold graph.  Every record has near-equality events (gmb
+    and std meet 2m at k = n); the threshold graphs meet gmb at every k."""
+    rng = random.Random(2016)
+    lines = []
+    for n in range(10, 31):
+        lines.append(encode_graph6(Graph(n, rng.getrandbits(n * (n - 1) // 2))))
+        t = brouwer_extremal(n, rng.randint(1, n * (n - 1) // 2), rng.randint(1, n))
+        perm = rng.sample(range(1, n + 1), n)
+        g = from_edge_list(n, [(perm[u - 1], perm[v - 1]) for u, v in t.realize().edges()])
+        lines.append(encode_graph6(g))
+    return "\n".join(lines) + "\n"
+
+
+class TestMixedCorpus:
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        path = tmp_path / "mixed.g6"
+        path.write_text(mixed_corpus())
+        return str(path)
+
+    def test_search_agrees_with_analyze(self, run, corpus):
+        # both commands read one margin table off the same Laplacian bytes
+        rc, out, _ = run(["search", corpus, "--check", "gmb,brouwer,std"])
+        assert rc == 0
+        rc, js, _ = run(["analyze", corpus, "--json"])
+        assert rc == 0
+        reports = {r["id"]: r["checks"] for r in json.loads(js)}
+        events = [ln.split() for ln in out.splitlines() if ln.startswith("NEAR ")]
+        assert len(events) >= 2 * len(reports) == 2 * 42
+        for _, record, check, k, margin in events:
+            rep = reports[record][check.removeprefix("check=")]
+            assert (k, margin) == (f"k={rep['worst_k']}",
+                                   f"margin={rep['min_margin']:.12g}"), (record, check)
+
+    # sha256 of stdout: the margins print to 12 digits, so these pins also
+    # hold the rounding of every solve (eigvalsh follows the sign of a zero)
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "213a44932a87b28554d7ae85d6d981fc94c1ef206f0038f269ac33e07ef16656"),
+        (["--csv"], "edc96ab757aed606c570f5d3528237312b7bf98a9fb9f7346502db0c62965d3a"),
+        (["--json"], "2984b72e417e08af9cad1582bf6f7243a13ee3278a120040ae50f218020158d4"),
+    ], ids=["text", "csv", "json"])
+    def test_analyze_digest(self, run, corpus, flags, digest):
+        rc, out, _ = run(["analyze", corpus, *flags])
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestEntryPoints:

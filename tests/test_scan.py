@@ -148,8 +148,9 @@ class TestKernel:
             for g, lap in zip(graphs, stack):
                 want = d_minus_a(g)
                 assert np.array_equal(lap, want)
-                # bytes, not just values: eigvalsh rounds by the sign of a zero
-                assert laplacian(g).tobytes() == want.tobytes()
+                # bytes, not just values: eigvalsh rounds by the sign of a
+                # zero, so one graph's Laplacian is its scattered row
+                assert laplacian(g).tobytes() == lap.tobytes()
 
     def test_empty_batch(self):
         rows = np.zeros((0, 21), dtype=np.uint8)
