@@ -9,9 +9,10 @@ every chunk is processed by the same batched path (``spectra.laplacians``
 on the edge-bit rows, then ``spectra.verify``: one batched LAPACK eigvalsh,
 exact integer bounds and the margin rows bound - prefix), each record's
 worst k and margin are read straight off its margin rows, and chunk
-results are reassembled in input order.  The summary is therefore byte-identical whatever the worker count;
-wall time (from the first line read) and worker count are reported
-separately and never enter the deterministic payload.
+results are reassembled in input order.  The summary is therefore
+byte-identical whatever the worker count; wall time (from the first line
+read) and worker count are reported separately and never enter the
+deterministic payload.
 
 A chunk is columnar from input to events.  Its graph6 texts are bucketed
 by length and each bucket is decoded at once by
