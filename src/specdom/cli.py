@@ -17,14 +17,16 @@ from .builders import (ThresholdGraph, brouwer_extremal, brouwer_extremal_plan,
                        clique_plus_isolated_threshold, cycle_dominator,
                        format_threshold, parse_threshold, pineapple,
                        split_dominator, union_merge)
-from .dominance import DominanceReport, std_constructive, threshold_count
-from .dominance import threshold_columns as _enumerate
+from .dominance import (DominanceReport, _column_lines, _threshold_lines,
+                        std_constructive, threshold_count)
 from .graphs import (Graph, Graph6Error, GraphInputError, decode_graph6,
                      encode_graph6, parse_edge_list)
 from .scan import ScanSummary, scan_all_graphs, scan_graph6_lines
 from .spectra import DEFAULT_TOL
 
 ENUMERATE_MAX_N = 20
+# an n-node report solves an n x n float matrix (8n^2 bytes)
+MAX_N = 512
 
 
 def _fmt(x: float) -> str:
@@ -48,18 +50,23 @@ def _read_text(path: str) -> str:
     return data.decode("utf-8", "surrogateescape")
 
 
-def _graphs_from_text(text: str) -> list[tuple[str, Graph]]:
+def _graphs_from_text(text: str, max_n: int) -> list[tuple[str, Graph]]:
     """Parse analyze input: an edge-list file or graph6 lines.
 
     A first non-blank line of two integers means edge-list; anything else
-    is treated as one graph6 record per line.
+    is treated as one graph6 record per line.  A node count above max_n,
+    read from the edge-list header or a graph6 size header, is an error
+    before any edge is decoded.
     """
     stripped = [ln.strip() for ln in text.splitlines()]
-    first = next((ln for ln in stripped if ln), None)
-    if first is None:
+    first_no = next((i for i, ln in enumerate(stripped, start=1) if ln), None)
+    if first_no is None:
         raise GraphInputError("line 1: empty input")
-    fields = first.split()
+    fields = stripped[first_no - 1].split()
     if len(fields) == 2 and all(f.lstrip("-").isdigit() for f in fields):
+        n = int(fields[0])
+        if n > max_n:
+            raise GraphInputError(f"line {first_no}: n={n} exceeds --max-n {max_n}")
         g = parse_edge_list(text)
         return [(encode_graph6(g), g)]
     out = []
@@ -67,7 +74,7 @@ def _graphs_from_text(text: str) -> list[tuple[str, Graph]]:
         if not ln:
             continue
         try:
-            out.append((ln, decode_graph6(ln)))
+            out.append((ln, decode_graph6(ln, max_n)))
         except Graph6Error as exc:
             raise Graph6Error(f"line {line_no}: {exc}") from None
     return out
@@ -160,7 +167,7 @@ def _report_csv(reports: list[DominanceReport]) -> str:
 def _cmd_analyze(args) -> int:
     text = _read_text(args.input)
     reports = [std_constructive(g, tol=args.tolerance, graph_id=rid)
-               for rid, g in _graphs_from_text(text)]
+               for rid, g in _graphs_from_text(text, args.max_n)]
     if args.json:
         print(json.dumps([report_json_dict(r) for r in reports], indent=2))
     elif args.csv:
@@ -193,7 +200,7 @@ def _build_threshold(args) -> tuple[ThresholdGraph, dict | None]:
         return union_merge(parts), None
     if args.builder == "split-dominator":
         text = _read_text(args.file)
-        records = _graphs_from_text(text)
+        records = _graphs_from_text(text, MAX_N)
         if len(records) != 1:
             raise GraphInputError("split-dominator expects exactly one graph")
         return split_dominator(records[0][1], args.k), None
@@ -271,12 +278,16 @@ def _cmd_search(args) -> int:
     return summary.exit_code
 
 
-def _json_record(cols: tuple[int, ...]) -> str:
-    """One column list as ``json.dumps(..., indent=2)`` writes it inside
-    the top-level "records" array."""
-    if not cols:
+def _json_records(n: int, m: int) -> str:
+    """The column lists of every threshold graph on n nodes with m edges
+    as ``json.dumps(..., indent=2)`` writes them inside the top-level
+    "records" array, made from the " c1 c2 ..." lines by str.replace."""
+    lines = _column_lines(n, m)[:-1]
+    if not lines:
         return "    []"
-    return "    [\n      " + ",\n      ".join(map(str, cols)) + "\n    ]"
+    # each " c" opens an item; a line's first item follows its "\n"
+    body = lines.replace(" ", ",\n      ").replace("\n,", "\n    ],\n    [")
+    return "    [" + body[1:] + "\n    ]"
 
 
 def _cmd_enumerate(args) -> int:
@@ -303,13 +314,12 @@ def _cmd_enumerate(args) -> int:
         # every valid m has at least one record, so no block is empty
         sep = "\n"
         for mm in ms:
-            write(sep + ",\n".join(map(_json_record, _enumerate(n, mm))))
+            write(sep + _json_records(n, mm))
             sep = ",\n"
         write("\n  ]\n}\n")
         return 0
     for mm in ms:
-        write("".join([format_threshold(n, cols) + "\n"
-                       for cols in _enumerate(n, mm)]))
+        write(_threshold_lines(n, mm))
     write(f"count: {count}\n")
     return 0
 
@@ -330,6 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--csv", action="store_true", help="CSV report rows")
     p_an.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
                       help="inequality tolerance (default 1e-7)")
+    p_an.add_argument("--max-n", type=int, default=MAX_N, metavar="N",
+                      help=f"refuse graphs on more than N nodes (default {MAX_N})")
     p_an.set_defaults(func=_cmd_analyze)
 
     p_b = sub.add_parser("build", help="construct threshold graphs")

@@ -196,8 +196,12 @@ def _g6_size(s: str) -> tuple[int, int]:
     return int("".join([format(ord(c) - 63, "06b") for c in s[start:end]]), 2), end
 
 
-def decode_graph6(text: str) -> Graph:
-    """Decode one graph6 record; errors name the byte offset at fault."""
+def decode_graph6(text: str, max_n: int | None = None) -> Graph:
+    """Decode one graph6 record; errors name the byte offset at fault.
+
+    With ``max_n``, a size header above it is an error before the body is
+    decoded (the ``--max-n`` option of the command line).
+    """
     s = text.rstrip("\n")
     if s.startswith(_G6_PREFIX):
         s = s[len(_G6_PREFIX):]
@@ -208,6 +212,8 @@ def decode_graph6(text: str) -> Graph:
         if code < 63 or code > 126:
             raise Graph6Error(f"byte {off}: character {ch!r} outside graph6 range 63..126")
     n, header_len = _g6_size(s)
+    if max_n is not None and n > max_n:
+        raise Graph6Error(f"n={n} exceeds --max-n {max_n}")
     if n == 0:
         raise Graph6Error("byte 0: node count 0 unsupported (graphs need a node)")
     nbits = n * (n - 1) // 2

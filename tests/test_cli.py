@@ -7,6 +7,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,9 @@ from specdom.graphs import Graph, encode_graph6, from_edge_list
 C8 = "GhCGKC"
 K6_PLUS_2 = "G~~w??"
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report_schema.json"
+
+# the size header alone says n = 513; the body is all zeros
+G6_513 = encode_graph6(Graph(513, 0))
 
 SPLIT_EDGES = "6 8\n1 2\n1 3\n2 3\n1 4\n1 5\n2 4\n2 5\n3 6\n"
 
@@ -116,6 +120,27 @@ class TestAnalyze:
         assert (rc, out) == (2, "")
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("text, argv, message", [
+        ("258047 0\n", [], "line 1: n=258047 exceeds --max-n 512"),
+        ("\n9 0\n", ["--max-n", "8"], "line 2: n=9 exceeds --max-n 8"),
+        (G6_513 + "\n", [], "line 1: n=513 exceeds --max-n 512"),
+        (f"Bw\n\n{C8}\n", ["--max-n", "7"], "line 3: n=8 exceeds --max-n 7"),
+    ])
+    def test_max_n_refuses_before_decoding(self, run, tmp_path, text, argv,
+                                           message):
+        path = tmp_path / "big.in"
+        path.write_text(text)
+        started = time.perf_counter()
+        rc, out, err = run(["analyze", str(path), *argv])
+        assert time.perf_counter() - started < 1.0
+        assert (rc, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_max_n_admits_its_own_size(self, run):
+        rc, out, _ = run(["analyze", "-", "--max-n", "8"], stdin_text=C8 + "\n")
+        assert rc == 0
+        assert "n=8 m=8" in out
+
     def test_missing_file(self, run):
         rc, _, err = run(["analyze", "/nonexistent/path.g6"])
         assert rc == 2
@@ -166,6 +191,13 @@ class TestBuild:
         rc, out, err = run(["build", "split-dominator", str(path), "1"])
         assert (rc, out) == (2, "")
         assert "error: line 2: byte 0: " in err
+
+    def test_split_dominator_shares_max_n(self, run, tmp_path):
+        path = tmp_path / "big.edges"
+        path.write_text("258047 0\n")
+        rc, out, err = run(["build", "split-dominator", str(path), "1"])
+        assert (rc, out) == (2, "")
+        assert err == "error: line 1: n=258047 exceeds --max-n 512\n"
 
     def test_union_merge(self, run, tmp_path):
         path = tmp_path / "parts.txt"

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -10,7 +11,9 @@ from specdom import (BrouwerViolationError, ThresholdGraph, energy_witness,
                      enumerate_threshold, max_energy_threshold, std_constructive,
                      std_oracle, threshold_columns, threshold_count,
                      threshold_energy)
-from specdom.builders import threshold_spectrum
+from specdom import dominance
+from specdom.builders import format_threshold, threshold_spectrum
+from specdom.cli import main
 from specdom.graphs import (Graph, complete_plus_isolated, cycle,
                             from_edge_list)
 from specdom.partitions import conjugate_counts
@@ -64,6 +67,26 @@ class TestEnumeration:
             g = t.realize()
             assert g.degree_sequence().is_threshold()
 
+    def test_blocks_equal_per_record_lines(self):
+        for n in range(1, 15):
+            for m in range(n * (n - 1) // 2 + 1):
+                assert dominance._threshold_lines(n, m) == "".join(
+                    format_threshold(n, c) + "\n"
+                    for c in threshold_columns(n, m)), (n, m)
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (4, 7), (4, -1)])
+    def test_blocks_reject_what_columns_reject(self, n, m):
+        with pytest.raises(ValueError):
+            dominance._threshold_lines(n, m)
+        with pytest.raises(ValueError):
+            next(threshold_columns(n, m))
+
+    def test_block_cache_stays_small(self, capsys):
+        assert main(["enumerate-threshold", "20"]) == 0
+        assert capsys.readouterr().out.endswith("count: 524288\n")
+        cached = sum(sys.getsizeof(b) for b in dominance._blocks.values())
+        assert 0 < cached < 1_000_000
+
 
 class TestStdReports:
     def test_c8_constructive(self):
@@ -97,6 +120,18 @@ class TestStdReports:
                 for entry in rep.per_k():
                     assert entry.best_threshold_prefix == \
                         effective_bound(n, m, entry.k), (n, m, entry.k)
+
+    def test_oracle_table_matches_threshold_graphs(self):
+        # first record, in enumeration order, to reach each per-k maximum
+        for n in range(1, 9):
+            for m in range(n * (n - 1) // 2 + 1):
+                maxima, cols = [0] * n, [()] * n
+                for t in enumerate_threshold(n, m):
+                    for i, p in enumerate(t.spectrum_prefix()):
+                        if p > maxima[i]:
+                            maxima[i], cols[i] = p, t.cols
+                assert dominance._oracle_table(n, m) == \
+                    (tuple(maxima), tuple(cols)), (n, m)
 
     def test_threshold_graph_attains_equality(self):
         t = ThresholdGraph(8, (5, 4, 3, 2, 1))
