@@ -17,7 +17,7 @@ from .builders import (ThresholdGraph, brouwer_extremal, brouwer_extremal_plan,
                        clique_plus_isolated_threshold, cycle_dominator,
                        format_threshold, parse_threshold, pineapple,
                        split_dominator, union_merge)
-from .dominance import (DominanceReport, _column_lines, _threshold_lines,
+from .dominance import (DominanceReport, _json_records, _threshold_lines,
                         std_constructive, threshold_count)
 from .graphs import (Graph, Graph6Error, GraphInputError, decode_graph6,
                      encode_graph6, parse_edge_list)
@@ -25,7 +25,8 @@ from .scan import ScanSummary, scan_all_graphs, scan_graph6_lines
 from .spectra import DEFAULT_TOL
 
 ENUMERATE_MAX_N = 20
-# an n-node report solves an n x n float matrix (8n^2 bytes)
+# analyze and build split-dominator refuse larger graphs: an n-node report
+# solves an n x n float matrix (8n^2 bytes)
 MAX_N = 512
 
 
@@ -50,31 +51,28 @@ def _read_text(path: str) -> str:
     return data.decode("utf-8", "surrogateescape")
 
 
-def _graphs_from_text(text: str, max_n: int) -> list[tuple[str, Graph]]:
+def _graphs_from_text(text: str) -> list[tuple[str, Graph]]:
     """Parse analyze input: an edge-list file or graph6 lines.
 
     A first non-blank line of two integers means edge-list; anything else
-    is treated as one graph6 record per line.  A node count above max_n,
+    is treated as one graph6 record per line.  A node count above MAX_N,
     read from the edge-list header or a graph6 size header, is an error
     before any edge is decoded.
     """
     stripped = [ln.strip() for ln in text.splitlines()]
-    first_no = next((i for i, ln in enumerate(stripped, start=1) if ln), None)
-    if first_no is None:
+    first = next((ln for ln in stripped if ln), None)
+    if first is None:
         raise GraphInputError("line 1: empty input")
-    fields = stripped[first_no - 1].split()
+    fields = first.split()
     if len(fields) == 2 and all(f.lstrip("-").isdigit() for f in fields):
-        n = int(fields[0])
-        if n > max_n:
-            raise GraphInputError(f"line {first_no}: n={n} exceeds --max-n {max_n}")
-        g = parse_edge_list(text)
+        g = parse_edge_list(text, MAX_N)
         return [(encode_graph6(g), g)]
     out = []
     for line_no, ln in enumerate(stripped, start=1):
         if not ln:
             continue
         try:
-            out.append((ln, decode_graph6(ln, max_n)))
+            out.append((ln, decode_graph6(ln, MAX_N)))
         except Graph6Error as exc:
             raise Graph6Error(f"line {line_no}: {exc}") from None
     return out
@@ -167,7 +165,7 @@ def _report_csv(reports: list[DominanceReport]) -> str:
 def _cmd_analyze(args) -> int:
     text = _read_text(args.input)
     reports = [std_constructive(g, tol=args.tolerance, graph_id=rid)
-               for rid, g in _graphs_from_text(text, args.max_n)]
+               for rid, g in _graphs_from_text(text)]
     if args.json:
         print(json.dumps([report_json_dict(r) for r in reports], indent=2))
     elif args.csv:
@@ -200,7 +198,7 @@ def _build_threshold(args) -> tuple[ThresholdGraph, dict | None]:
         return union_merge(parts), None
     if args.builder == "split-dominator":
         text = _read_text(args.file)
-        records = _graphs_from_text(text, MAX_N)
+        records = _graphs_from_text(text)
         if len(records) != 1:
             raise GraphInputError("split-dominator expects exactly one graph")
         return split_dominator(records[0][1], args.k), None
@@ -278,18 +276,6 @@ def _cmd_search(args) -> int:
     return summary.exit_code
 
 
-def _json_records(n: int, m: int) -> str:
-    """The column lists of every threshold graph on n nodes with m edges
-    as ``json.dumps(..., indent=2)`` writes them inside the top-level
-    "records" array, made from the " c1 c2 ..." lines by str.replace."""
-    lines = _column_lines(n, m)[:-1]
-    if not lines:
-        return "    []"
-    # each " c" opens an item; a line's first item follows its "\n"
-    body = lines.replace(" ", ",\n      ").replace("\n,", "\n    ],\n    [")
-    return "    [" + body[1:] + "\n    ]"
-
-
 def _cmd_enumerate(args) -> int:
     """Write the records one edge-count block at a time.
 
@@ -340,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--csv", action="store_true", help="CSV report rows")
     p_an.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
                       help="inequality tolerance (default 1e-7)")
-    p_an.add_argument("--max-n", type=int, default=MAX_N, metavar="N",
-                      help=f"refuse graphs on more than N nodes (default {MAX_N})")
     p_an.set_defaults(func=_cmd_analyze)
 
     p_b = sub.add_parser("build", help="construct threshold graphs")

@@ -349,6 +349,18 @@ def _threshold_lines(n: int, m: int) -> str:
     return _prefix_lines(f"{n}:", _column_lines(n, m))
 
 
+def _json_records(n: int, m: int) -> str:
+    """The column lists of every threshold graph on n nodes with m edges
+    as ``json.dumps(..., indent=2)`` writes them inside the top-level
+    "records" array, made from the " c1 c2 ..." lines by str.replace."""
+    lines = _column_lines(n, m)[:-1]
+    if not lines:
+        return "    []"
+    # each " c" opens an item; a line's first item follows its "\n"
+    body = lines.replace(" ", ",\n      ").replace("\n,", "\n    ],\n    [")
+    return "    [" + body[1:] + "\n    ]"
+
+
 @lru_cache(maxsize=None)
 def _distinct_count(m: int, cap: int) -> int:
     if m == 0:

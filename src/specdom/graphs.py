@@ -200,7 +200,7 @@ def decode_graph6(text: str, max_n: int | None = None) -> Graph:
     """Decode one graph6 record; errors name the byte offset at fault.
 
     With ``max_n``, a size header above it is an error before the body is
-    decoded (the ``--max-n`` option of the command line).
+    decoded.
     """
     s = text.rstrip("\n")
     if s.startswith(_G6_PREFIX):
@@ -213,7 +213,7 @@ def decode_graph6(text: str, max_n: int | None = None) -> Graph:
             raise Graph6Error(f"byte {off}: character {ch!r} outside graph6 range 63..126")
     n, header_len = _g6_size(s)
     if max_n is not None and n > max_n:
-        raise Graph6Error(f"n={n} exceeds --max-n {max_n}")
+        raise Graph6Error(f"byte 0: n={n} exceeds the {max_n}-node limit")
     if n == 0:
         raise Graph6Error("byte 0: node count 0 unsupported (graphs need a node)")
     nbits = n * (n - 1) // 2
@@ -313,9 +313,10 @@ def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:
 # Plain edge-list text format: a header line "n m" and then m lines "i j".
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str, max_n: int | None = None) -> Graph:
     """Parse the "n m" edge-list format; errors carry 1-based line numbers.
-    A pair listed twice, in either order, is an error."""
+    A pair listed twice, in either order, is an error.  With ``max_n``, a
+    header n above it is an error before any edge line is read."""
     lines = text.splitlines()
     numbered = [(ln, raw.strip()) for ln, raw in enumerate(lines, start=1) if raw.strip()]
     if not numbered:
@@ -330,6 +331,8 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphInputError(f"line {hln}: header must be two integers, got {htext!r}")
     if n < 1:
         raise GraphInputError(f"line {hln}: node count must be positive, got {n}")
+    if max_n is not None and n > max_n:
+        raise GraphInputError(f"line {hln}: n={n} exceeds the {max_n}-node limit")
     if m < 0:
         raise GraphInputError(f"line {hln}: edge count must be nonnegative, got {m}")
     pairs: dict[int, tuple[int, int]] = {}

@@ -20,7 +20,7 @@ except ImportError:
 from specdom import enumerate_threshold
 from specdom.builders import brouwer_extremal
 from specdom.cli import main
-from specdom.graphs import Graph, encode_graph6, from_edge_list
+from specdom.graphs import Graph, cycle, encode_graph6, from_edge_list
 
 C8 = "GhCGKC"
 K6_PLUS_2 = "G~~w??"
@@ -120,26 +120,40 @@ class TestAnalyze:
         assert (rc, out) == (2, "")
         assert err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("text, argv, message", [
-        ("258047 0\n", [], "line 1: n=258047 exceeds --max-n 512"),
-        ("\n9 0\n", ["--max-n", "8"], "line 2: n=9 exceeds --max-n 8"),
-        (G6_513 + "\n", [], "line 1: n=513 exceeds --max-n 512"),
-        (f"Bw\n\n{C8}\n", ["--max-n", "7"], "line 3: n=8 exceeds --max-n 7"),
+    @pytest.mark.parametrize("text, message", [
+        ("258047 0\n", "line 1: n=258047 exceeds the 512-node limit"),
+        ("\n513 0\n", "line 2: n=513 exceeds the 512-node limit"),
+        (G6_513 + "\n", "line 1: byte 0: n=513 exceeds the 512-node limit"),
+        (f"Bw\n\n{G6_513}\n",
+         "line 3: byte 0: n=513 exceeds the 512-node limit"),
     ])
-    def test_max_n_refuses_before_decoding(self, run, tmp_path, text, argv,
-                                           message):
+    def test_node_limit_refuses_before_decoding(self, run, tmp_path, text,
+                                                message):
         path = tmp_path / "big.in"
         path.write_text(text)
         started = time.perf_counter()
-        rc, out, err = run(["analyze", str(path), *argv])
+        rc, out, err = run(["analyze", str(path)])
         assert time.perf_counter() - started < 1.0
         assert (rc, out) == (2, "")
         assert err == f"error: {message}\n"
 
-    def test_max_n_admits_its_own_size(self, run):
-        rc, out, _ = run(["analyze", "-", "--max-n", "8"], stdin_text=C8 + "\n")
+    def test_node_limit_admits_its_own_size(self, run):
+        rc, out, _ = run(["analyze", "-"],
+                         stdin_text=encode_graph6(cycle(512)) + "\n")
         assert rc == 0
-        assert "n=8 m=8" in out
+        assert "n=512 m=512" in out
+
+    @pytest.mark.parametrize("text, message", [
+        ("-1 0\n", "line 1: node count must be positive, got -1"),
+        ("\u00b2 0\n", "line 1: header must be two integers, got '\u00b2 0'"),
+        ("0 0\n", "line 1: node count must be positive, got 0"),
+    ])
+    def test_bad_edge_list_header(self, run, tmp_path, text, message):
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        rc, out, err = run(["analyze", str(path)])
+        assert (rc, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     def test_missing_file(self, run):
         rc, _, err = run(["analyze", "/nonexistent/path.g6"])
@@ -192,12 +206,12 @@ class TestBuild:
         assert (rc, out) == (2, "")
         assert "error: line 2: byte 0: " in err
 
-    def test_split_dominator_shares_max_n(self, run, tmp_path):
+    def test_split_dominator_shares_node_limit(self, run, tmp_path):
         path = tmp_path / "big.edges"
         path.write_text("258047 0\n")
         rc, out, err = run(["build", "split-dominator", str(path), "1"])
         assert (rc, out) == (2, "")
-        assert err == "error: line 1: n=258047 exceeds --max-n 512\n"
+        assert err == "error: line 1: n=258047 exceeds the 512-node limit\n"
 
     def test_union_merge(self, run, tmp_path):
         path = tmp_path / "parts.txt"

@@ -161,6 +161,13 @@ class TestGraph6Errors:
         with pytest.raises(Graph6Error):
             decode_graph6("")
 
+    def test_node_limit_read_from_size_header(self):
+        # "D?" is n = 5 with a truncated body, so the size is checked first
+        with pytest.raises(Graph6Error) as err:
+            decode_graph6("D?", max_n=4)
+        assert str(err.value) == "byte 0: n=5 exceeds the 4-node limit"
+        assert decode_graph6("Dhc", max_n=5).n == 5
+
 
 class TestGraph6RoundTrip:
     def test_exhaustive_small(self):
@@ -207,6 +214,13 @@ class TestEdgeListFormat:
     def test_empty_input(self):
         with pytest.raises(GraphInputError):
             parse_edge_list("")
+
+    def test_node_limit_read_from_header(self):
+        # the edge line past the header is never read
+        with pytest.raises(GraphInputError) as err:
+            parse_edge_list("\n9 1\nbogus\n", max_n=8)
+        assert str(err.value) == "line 2: n=9 exceeds the 8-node limit"
+        assert parse_edge_list("8 1\n1 2\n", max_n=8).n == 8
 
     @pytest.mark.parametrize("text, message", [
         ("3 3\n1 2\n1 2\n1 2\n", "line 3: duplicate edge (1, 2)"),
