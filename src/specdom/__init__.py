@@ -4,106 +4,63 @@ The package certifies eigenvalue prefix-sum bounds (Grone-Merris-Bai and
 Brouwer) with explicit threshold-graph witnesses, and ships the extremal
 constructions behind them: Ferrers-diagram arithmetic, greedy diagram
 fills, dominators for split graphs and cycles, and energy maximisers.
+
+Each public name is imported from its module on first use (PEP 562), so
+importing the package loads numpy only once a name that needs it is used.
 """
 
-from .builders import (ExtremalPlan, ThresholdGraph, brouwer_extremal,
-                       brouwer_extremal_plan, clique_plus_isolated_threshold,
-                       complement_threshold, cycle_dominator,
-                       format_threshold, from_below_columns,
-                       from_creation_sequence, parse_threshold, pineapple,
-                       realize, spectrum_of, split_dominator, union_merge)
-from .dominance import (BrouwerViolationError, DominanceReport,
-                        DominanceWitness, PerKEntry, energy_witness,
-                        enumerate_threshold, max_energy_threshold,
-                        std_constructive, std_oracle, threshold_columns,
-                        threshold_count, threshold_energy)
-from .graphs import (Graph, Graph6Error, GraphInputError, complement,
-                     complete, complete_plus_isolated, cycle, decode_graph6,
-                     disjoint_union, encode_graph6, format_edge_list,
-                     from_edge_list, iter_graph6, parse_edge_list)
-from .partitions import (ConjugateSequence, DegreeSequence, below_columns,
-                         conjugate, conjugate_counts, is_split, is_threshold,
-                         trace)
-from .scan import (NearEquality, RecordError, ScanSummary, Violation,
-                   scan_all_graphs, scan_graph6_lines)
-from .spectra import (CheckReport, JacobiConvergenceError, KEntry, Spectrum,
-                      check_brouwer, check_gmb, cycle_spectrum, eigenvalues,
-                      energy_count, energy_via_prefix, jacobi_eigenvalues,
-                      jacobi_eigenvalues_batch, laplacian, laplacian_energy,
-                      prefix_sums)
+import importlib
 
-__all__ = [
-    "BrouwerViolationError",
-    "CheckReport",
-    "ConjugateSequence",
-    "DegreeSequence",
-    "DominanceReport",
-    "DominanceWitness",
-    "ExtremalPlan",
-    "Graph",
-    "Graph6Error",
-    "GraphInputError",
-    "JacobiConvergenceError",
-    "KEntry",
-    "NearEquality",
-    "PerKEntry",
-    "RecordError",
-    "ScanSummary",
-    "Spectrum",
-    "ThresholdGraph",
-    "Violation",
-    "below_columns",
-    "brouwer_extremal",
-    "brouwer_extremal_plan",
-    "check_brouwer",
-    "check_gmb",
-    "clique_plus_isolated_threshold",
-    "complement",
-    "complement_threshold",
-    "complete",
-    "complete_plus_isolated",
-    "conjugate",
-    "conjugate_counts",
-    "cycle",
-    "cycle_dominator",
-    "cycle_spectrum",
-    "decode_graph6",
-    "disjoint_union",
-    "eigenvalues",
-    "encode_graph6",
-    "energy_count",
-    "energy_via_prefix",
-    "energy_witness",
-    "enumerate_threshold",
-    "format_edge_list",
-    "format_threshold",
-    "from_below_columns",
-    "from_creation_sequence",
-    "from_edge_list",
-    "is_split",
-    "is_threshold",
-    "iter_graph6",
-    "jacobi_eigenvalues",
-    "jacobi_eigenvalues_batch",
-    "laplacian",
-    "laplacian_energy",
-    "max_energy_threshold",
-    "parse_edge_list",
-    "parse_threshold",
-    "pineapple",
-    "prefix_sums",
-    "realize",
-    "scan_all_graphs",
-    "scan_graph6_lines",
-    "spectrum_of",
-    "split_dominator",
-    "std_constructive",
-    "std_oracle",
-    "threshold_columns",
-    "threshold_count",
-    "threshold_energy",
-    "trace",
-    "union_merge",
-]
+_NAMES = {
+    "builders": """
+        ExtremalPlan ThresholdGraph brouwer_extremal
+        brouwer_extremal_plan clique_plus_isolated_threshold
+        complement_threshold cycle_dominator enumerate_threshold
+        format_threshold from_below_columns from_creation_sequence
+        parse_threshold pineapple realize spectrum_of split_dominator
+        threshold_columns threshold_count union_merge
+    """.split(),
+    "dominance": """
+        BrouwerViolationError DominanceReport DominanceWitness PerKEntry
+        energy_witness max_energy_threshold std_constructive std_oracle
+        threshold_energy
+    """.split(),
+    "graphs": """
+        Graph Graph6Error GraphInputError complement complete
+        complete_plus_isolated cycle decode_graph6 disjoint_union
+        encode_graph6 format_edge_list from_edge_list iter_graph6
+        parse_edge_list
+    """.split(),
+    "partitions": """
+        ConjugateSequence DegreeSequence below_columns conjugate
+        conjugate_counts is_split is_threshold trace
+    """.split(),
+    "scan": """
+        NearEquality RecordError ScanSummary Violation scan_all_graphs
+        scan_graph6_lines
+    """.split(),
+    "spectra": """
+        CheckReport JacobiConvergenceError KEntry Spectrum check_brouwer
+        check_gmb cycle_spectrum eigenvalues energy_count
+        energy_via_prefix jacobi_eigenvalues jacobi_eigenvalues_batch
+        laplacian laplacian_energy prefix_sums
+    """.split(),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

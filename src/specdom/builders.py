@@ -10,13 +10,19 @@ The builders cover the extremal constructions used to certify eigenvalue
 prefix-sum bounds: greedy diagrams meeting the Brouwer bound m + k(k+1)/2,
 dominators for split graphs and cycles, pineapples, and merges that add
 diagrams columnwise.
+
+Threshold graphs are enumerated by edge count: ``threshold_columns``
+yields one edge count's columns lazily, and the enumeration text is
+joined instead from suffix blocks, which depend only on (rest, cap);
+blocks with cap <= 14 stay cached (about 0.5 MB).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, from_edge_list
 from .partitions import DegreeSequence, conjugate_counts
@@ -120,6 +126,151 @@ def threshold_spectrum(n: int, cols: Sequence[int]) -> tuple[int, ...]:
             j -= 1
         tail.append(j)
     return tuple(heads + tail)
+
+
+def enumerate_threshold(n: int, m: int | None = None) -> Iterator[ThresholdGraph]:
+    """All threshold graphs on n nodes, or those with exactly m edges.
+
+    Edge counts run from 0 up to n(n-1)/2 (just m when given); within one
+    edge count the column sequences come from ``threshold_columns``, in
+    descending lexicographic order.  Totals over all m are 2^(n-1).  Each
+    record is a ``ThresholdGraph``, validated as any other.  Raises
+    ValueError for n < 1 or m outside 0..n(n-1)/2.
+    """
+    # n(n-1)/2 >= 0 for every integer n, so a bad n raises at m = 0
+    ms = range(n * (n - 1) // 2 + 1) if m is None else (m,)
+    for mm in ms:
+        for cols in threshold_columns(n, mm):
+            yield ThresholdGraph(n, cols)
+
+
+def _check_edge_count(n: int, m: int) -> None:
+    if n < 1:
+        raise ValueError(f"threshold graph needs at least one node, got n={n}")
+    if not 0 <= m <= n * (n - 1) // 2:
+        raise ValueError(f"edge count m={m} outside 0..{n * (n - 1) // 2}")
+
+
+def threshold_columns(n: int, m: int) -> Iterator[tuple[int, ...]]:
+    """Column tuples of the threshold graphs on n nodes with m edges.
+
+    The tuples are the partitions of m into distinct parts below n, in
+    descending lexicographic order: the greedy fill first, then each next
+    one by lowering the rightmost part that can drop by one and refilling
+    greedily from there.  Each part c is checked where it is placed,
+    1 <= c <= n - depth (depth counted from 1); strict decrease holds
+    because a part's successor is capped at c - 1.  So every tuple
+    satisfies the ``ThresholdGraph`` invariant without building one, and
+    AssertionError is raised if one ever would not.  Raises ValueError for
+    n < 1 or m outside 0..n(n-1)/2.
+    """
+    _check_edge_count(n, m)
+    top = n - 1
+    parts: list[int] = []
+    cap, rest = top, m
+    while True:
+        # greedy fill: the largest distinct parts <= cap that sum to rest
+        while rest:
+            c = cap if cap < rest else rest
+            if not 0 < c <= top - len(parts):
+                raise AssertionError(
+                    f"column count {c} at depth {len(parts) + 1} breaks "
+                    f"the invariant for n={n} (columns {parts})")
+            parts.append(c)
+            rest -= c
+            cap = c - 1
+        yield tuple(parts)
+        # the rightmost part p that can drop to p - 1 with distinct parts
+        # below p - 1 still summing to the rest; the fill re-places the
+        # whole suffix from p - 1 down
+        j = len(parts)
+        rest = 0
+        while j:
+            j -= 1
+            rest += parts[j]
+            cap = parts[j] - 1
+            if rest - cap <= cap * (cap - 1) // 2:
+                break
+        else:
+            return
+        del parts[j:]
+
+
+# Suffix blocks with cap <= 14 stay cached: at n = 20 that is 469 blocks,
+# about 0.55 MB.  Caching every cap held 24.6 MB there; the few blocks with
+# a larger cap are rebuilt on each call instead.
+_BLOCK_CACHE_CAP = 14
+_blocks: dict[tuple[int, int], str] = {}
+
+
+def _prefix_lines(head: str, block: str) -> str:
+    """``head`` put in front of every line of a nonempty block."""
+    return head + block[:-1].replace("\n", "\n" + head) + "\n"
+
+
+def _column_block(rest: int, cap: int) -> str:
+    """Lines " c1 c2 ..." of the partitions of rest into distinct parts
+    <= cap, in descending lexicographic order; "\n" alone for rest 0.
+
+    A line with first part c continues with a line of the block
+    (rest - c, c - 1), so every block is a join of prefixed smaller ones.
+    """
+    if rest == 0:
+        return "\n"
+    cap = min(cap, rest)
+    key = (rest, cap)
+    block = _blocks.get(key)
+    if block is None:
+        c = cap
+        out = []
+        while rest <= c * (c + 1) // 2:
+            out.append(_prefix_lines(f" {c}", _column_block(rest - c, c - 1)))
+            c -= 1
+        block = "".join(out)
+        if cap <= _BLOCK_CACHE_CAP:
+            _blocks[key] = block
+    return block
+
+
+def _column_lines(n: int, m: int) -> str:
+    """The columns of every threshold graph on n nodes with m edges as
+    lines " c1 c2 ...", in ``threshold_columns`` order."""
+    _check_edge_count(n, m)
+    return _column_block(m, n - 1)
+
+
+def _threshold_lines(n: int, m: int) -> str:
+    """``format_threshold`` of every ``threshold_columns(n, m)`` record,
+    one per line, built from cached suffix blocks at C speed."""
+    return _prefix_lines(f"{n}:", _column_lines(n, m))
+
+
+def _json_records(n: int, m: int) -> str:
+    """The column lists of every threshold graph on n nodes with m edges
+    as ``json.dumps(..., indent=2)`` writes them inside the top-level
+    "records" array, made from the " c1 c2 ..." lines by str.replace."""
+    lines = _column_lines(n, m)[:-1]
+    if not lines:
+        return "    []"
+    # each " c" opens an item; a line's first item follows its "\n"
+    body = lines.replace(" ", ",\n      ").replace("\n,", "\n    ],\n    [")
+    return "    [" + body[1:] + "\n    ]"
+
+
+@lru_cache(maxsize=None)
+def _distinct_count(m: int, cap: int) -> int:
+    if m == 0:
+        return 1
+    if cap <= 0 or m < 0 or m > cap * (cap + 1) // 2:
+        return 0
+    return _distinct_count(m, cap - 1) + _distinct_count(m - cap, cap - 1)
+
+
+def threshold_count(n: int, m: int) -> int:
+    """Number of threshold graphs on n nodes with m edges; 0 for any other m."""
+    if n < 1:
+        raise ValueError(f"threshold graph needs at least one node, got n={n}")
+    return _distinct_count(m, n - 1)
 
 
 def from_below_columns(n: int, cols: Sequence[int]) -> ThresholdGraph:

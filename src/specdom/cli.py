@@ -3,6 +3,8 @@
 Deterministic results go to stdout; wall time, worker counts, and
 progress go to stderr.  Exit codes: 0 success, 1 violations found by
 search, 2 input or usage errors.
+
+Only ``analyze`` and ``search`` solve spectra, so only they load numpy.
 """
 
 from __future__ import annotations
@@ -12,22 +14,38 @@ import csv
 import io
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .builders import (ThresholdGraph, brouwer_extremal, brouwer_extremal_plan,
+from .builders import (ThresholdGraph, _json_records, _threshold_lines,
+                       brouwer_extremal, brouwer_extremal_plan,
                        clique_plus_isolated_threshold, cycle_dominator,
                        format_threshold, parse_threshold, pineapple,
-                       split_dominator, union_merge)
-from .dominance import (DominanceReport, _json_records, _threshold_lines,
-                        std_constructive, threshold_count)
-from .graphs import (Graph, Graph6Error, GraphInputError, decode_graph6,
-                     encode_graph6, parse_edge_list)
-from .scan import ScanSummary, scan_all_graphs, scan_graph6_lines
-from .spectra import DEFAULT_TOL
+                       split_dominator, threshold_count, union_merge)
+from .graphs import (DEFAULT_TOL, MAX_N, Graph, Graph6Error, GraphInputError,
+                     decode_graph6, encode_graph6, parse_edge_list)
+
+if TYPE_CHECKING:
+    from .dominance import DominanceReport
+    from .scan import ScanSummary
 
 ENUMERATE_MAX_N = 20
-# analyze and build split-dominator refuse larger graphs: an n-node report
-# solves an n x n float matrix (8n^2 bytes)
-MAX_N = 512
+
+
+# The solver entry points stay names of this module, called through it, so
+# that a tracer can wrap them here; main() has imported their modules first.
+def std_constructive(g: Graph, **options) -> DominanceReport:
+    from . import dominance
+    return dominance.std_constructive(g, **options)
+
+
+def scan_graph6_lines(lines: list[str], **options) -> ScanSummary:
+    from . import scan
+    return scan.scan_graph6_lines(lines, **options)
+
+
+def scan_all_graphs(n: int, **options) -> ScanSummary:
+    from . import scan
+    return scan.scan_all_graphs(n, **options)
 
 
 def _fmt(x: float) -> str:
@@ -381,6 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("analyze", "search"):
+        # numpy loads here, before the command's work starts
+        from . import dominance, scan  # noqa: F401
     try:
         return args.func(args)
     except BrokenPipeError:

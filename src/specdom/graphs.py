@@ -9,17 +9,24 @@ every conversion is linear in the bits: a packed integer and its
 graph6-order bit text convert in one step each way, for the codec, the
 edge walk and edge-list packing; ``decode_graph6_batch`` and ``bit_rows``
 give numpy edge-bit rows.  Node names are 1-based everywhere in the API.
+Only the three array functions use numpy, and they import it when called,
+so the codec and the parsers load without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .partitions import DegreeSequence
+
+if TYPE_CHECKING:
+    import numpy as np
+# the parsers' node limit when asked: an n-node report solves 8n^2 bytes
+MAX_N = 512
+# the checks' tolerance, here so that the command line reads it without numpy
+DEFAULT_TOL = 1e-7
 
 
 class GraphInputError(ValueError):
@@ -39,6 +46,7 @@ def _bit_index(i: int, j: int) -> int:
 def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     """``_bit_index`` in array form: (rows, cols) of every bit position in
     order, so bit p is the pair (cols[p], rows[p]), column-major."""
+    import numpy as np
     return np.tril_indices(n, -1)
 
 
@@ -62,6 +70,15 @@ def _set_pairs(n: int, bits: int) -> Iterator[tuple[int, int]]:
         while p >= 0:
             yield p - base, j
             p = text.find("1", p + 1, base + j)
+
+
+@lru_cache(maxsize=64)
+def _node_masks(n: int) -> tuple[int, ...]:
+    """Per 0-based node v, the bits of every pair that contains v."""
+    # column v holds the pairs (u, v), u < v; each later column j one (v, j)
+    return tuple((((1 << v) - 1) << _bit_index(0, v))
+                 | sum(1 << _bit_index(v, j) for j in range(v + 1, n))
+                 for v in range(n))
 
 
 def _pair_bit(n: int, u: int, v: int) -> int:
@@ -102,6 +119,10 @@ class Graph:
 
     def degrees(self) -> tuple[int, ...]:
         """Degree of node u at index u-1."""
+        if self.n <= 62:
+            # masks hold n * n(n-1)/2 bits; larger graphs take the text walk
+            bits = self.bits
+            return tuple([(bits & mask).bit_count() for mask in _node_masks(self.n)])
         degs = [0] * self.n
         for i, j in _set_pairs(self.n, self.bits):
             degs[i] += 1
@@ -249,6 +270,7 @@ def decode_graph6_batch(texts: list[str], length: int
     texts longer than any one-byte-header record are not read at all, and
     then bits has no columns.
     """
+    import numpy as np
     if not 1 <= length <= _G6_SHORT_MAX:
         return (np.zeros(len(texts), bool), np.zeros(len(texts), np.int64),
                 np.zeros((len(texts), 0), np.uint8))
@@ -276,6 +298,7 @@ def bit_rows(n: int, packed) -> np.ndarray:
     shifts, or a sequence of Python ints of any size, unpacked from their
     little-endian bytes.
     """
+    import numpy as np
     nbits = n * (n - 1) // 2
     if isinstance(packed, np.ndarray):
         return ((packed[:, None] >> np.arange(nbits)) & 1).astype(np.uint8)

@@ -45,7 +45,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import (Graph, Graph6Error, bit_rows, decode_graph6,
+from .graphs import (MAX_N, Graph, Graph6Error, bit_rows, decode_graph6,
                      decode_graph6_batch, encode_graph6)
 from .spectra import DEFAULT_TOL, NEAR_EQUALITY, laplacians, verify
 
@@ -137,7 +137,7 @@ def _g6_groups(records) -> tuple[dict[int, tuple], list[tuple[int, str]]]:
     chunk's records, and errors are (line, message) in line order.
     Records are bucketed by text length and decoded a bucket at a time by
     ``decode_graph6_batch``; the records it leaves go through
-    ``decode_graph6``.
+    ``decode_graph6``, which refuses a record of more than MAX_N nodes.
     """
     by_len: dict[int, list[int]] = {}
     for pos, (_, text) in enumerate(records):
@@ -156,7 +156,7 @@ def _g6_groups(records) -> tuple[dict[int, tuple], list[tuple[int, str]]]:
     for p in sorted(fallback):
         line_no, text = records[p]
         try:
-            g = decode_graph6(text)
+            g = decode_graph6(text, MAX_N)
         except Graph6Error as exc:
             errors.append((line_no, str(exc)))
             continue

@@ -37,9 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _pair_index, bit_rows
+from .graphs import DEFAULT_TOL, Graph, _pair_index, bit_rows
 
-DEFAULT_TOL = 1e-7
 OFF_TOL = 1e-12
 CONFIRM_TOL = OFF_TOL / 100.0
 MAX_SWEEPS = 64

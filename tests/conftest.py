@@ -1,8 +1,14 @@
 """Shared fixtures and the acceptance summary hook."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 ACCEPTANCE_PREFIX = "test_acceptance.py"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 _results = {}
 
@@ -36,3 +42,18 @@ def all_graphs_cache():
         return cache[n]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """``python ARGS...`` in a subprocess that imports specdom from this
+    checkout's ``src``, whatever the caller's PYTHONPATH; returns the
+    CompletedProcess with stdout and stderr captured."""
+    env = dict(os.environ)
+    old = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = str(SRC) + (os.pathsep + old if old else "")
+
+    def run(args, **kwargs):
+        return subprocess.run([sys.executable, *args], env=env,
+                              capture_output=True, **kwargs)
+    return run

@@ -274,7 +274,7 @@ class TestComplement:
 
     def test_eigenvalue_reflection_exhaustive(self):
         # lambda_i of the complement is n minus lambda_{n-i} for i < n
-        from specdom.dominance import enumerate_threshold
+        from specdom.builders import enumerate_threshold
         for n in range(1, 9):
             for t in enumerate_threshold(n):
                 vals = t.spectrum_ints()

@@ -288,6 +288,17 @@ class TestSearch:
         assert rc == 2
         assert "ERROR line 1:" in out
 
+    def test_node_limit_is_a_record_error(self, run, tmp_path):
+        path = tmp_path / "big.g6"
+        path.write_text(f"Bw\n\n{G6_513}\n{C8}\n")
+        started = time.perf_counter()
+        rc, out, _ = run(["search", str(path)])
+        assert time.perf_counter() - started < 1.0
+        assert rc == 2
+        assert "records: 2\n" in out
+        assert out.endswith(
+            "ERROR line 3: byte 0: n=513 exceeds the 512-node limit\n")
+
     def test_gen_all(self, run):
         rc, out, _ = run(["search", "--gen-all", "3"])
         assert rc == 0
@@ -326,22 +337,22 @@ class TestSearch:
         assert payload["near_equality"][0]["k"] == 5
 
     @pytest.mark.parametrize("bad", [b"B\xc3\xa9", b"B\xff"])
-    def test_non_ascii_file_matches_stdin(self, tmp_path, bad):
+    def test_non_ascii_file_matches_stdin(self, run_python, tmp_path, bad):
         # a bad byte is an error of its own line, read from a file or stdin
         data = b"Bw\n" + bad + b"\nDhc\n"
         path = tmp_path / "bad.g6"
         path.write_bytes(data)
-        cmd = [sys.executable, "-m", "specdom.cli", "search"]
-        from_file = subprocess.run(cmd + [str(path)], capture_output=True)
-        from_stdin = subprocess.run(cmd + ["-"], input=data, capture_output=True)
+        cmd = ["-m", "specdom.cli", "search"]
+        from_file = run_python(cmd + [str(path)])
+        from_stdin = run_python(cmd + ["-"], input=data)
         assert from_file.returncode == from_stdin.returncode == 2
         assert from_file.stdout == from_stdin.stdout
         out = from_file.stdout.decode("utf-8")
         assert "records: 2\n" in out
         assert "ERROR line 2: byte 1: " in out
-        cmd = [sys.executable, "-m", "specdom.cli", "analyze"]
-        from_file = subprocess.run(cmd + [str(path)], capture_output=True)
-        from_stdin = subprocess.run(cmd + ["-"], input=data, capture_output=True)
+        cmd = ["-m", "specdom.cli", "analyze"]
+        from_file = run_python(cmd + [str(path)])
+        from_stdin = run_python(cmd + ["-"], input=data)
         assert from_file.returncode == from_stdin.returncode == 2
         assert from_file.stderr == from_stdin.stderr
         assert from_file.stderr.startswith(b"error: line 2: byte 1: ")
@@ -466,17 +477,14 @@ class TestMixedCorpus:
 
 
 class TestEntryPoints:
-    def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "specdom.cli", "enumerate-threshold", "4", "3"],
-            capture_output=True, text=True)
+    def test_module_invocation(self, run_python):
+        proc = run_python(["-m", "specdom.cli", "enumerate-threshold", "4", "3"],
+                          text=True)
         assert proc.returncode == 0
         assert proc.stdout == "4: 3\n4: 2 1\ncount: 2\n"
 
-    def test_module_invocation_n20_digest(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "specdom.cli", "enumerate-threshold", "20"],
-            capture_output=True)
+    def test_module_invocation_n20_digest(self, run_python):
+        proc = run_python(["-m", "specdom.cli", "enumerate-threshold", "20"])
         assert proc.returncode == 0
         assert proc.stdout.count(b"\n") == 524_289
         assert hashlib.sha256(proc.stdout).hexdigest() == \

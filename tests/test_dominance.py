@@ -11,7 +11,7 @@ from specdom import (BrouwerViolationError, ThresholdGraph, energy_witness,
                      enumerate_threshold, max_energy_threshold, std_constructive,
                      std_oracle, threshold_columns, threshold_count,
                      threshold_energy)
-from specdom import dominance
+from specdom import builders, dominance
 from specdom.builders import format_threshold, threshold_spectrum
 from specdom.cli import main
 from specdom.graphs import (Graph, complete_plus_isolated, cycle,
@@ -70,21 +70,21 @@ class TestEnumeration:
     def test_blocks_equal_per_record_lines(self):
         for n in range(1, 15):
             for m in range(n * (n - 1) // 2 + 1):
-                assert dominance._threshold_lines(n, m) == "".join(
+                assert builders._threshold_lines(n, m) == "".join(
                     format_threshold(n, c) + "\n"
                     for c in threshold_columns(n, m)), (n, m)
 
     @pytest.mark.parametrize("n, m", [(0, 0), (4, 7), (4, -1)])
     def test_blocks_reject_what_columns_reject(self, n, m):
         with pytest.raises(ValueError):
-            dominance._threshold_lines(n, m)
+            builders._threshold_lines(n, m)
         with pytest.raises(ValueError):
             next(threshold_columns(n, m))
 
     def test_block_cache_stays_small(self, capsys):
         assert main(["enumerate-threshold", "20"]) == 0
         assert capsys.readouterr().out.endswith("count: 524288\n")
-        cached = sum(sys.getsizeof(b) for b in dominance._blocks.values())
+        cached = sum(sys.getsizeof(b) for b in builders._blocks.values())
         assert 0 < cached < 1_000_000
 
 
