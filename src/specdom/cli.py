@@ -14,7 +14,8 @@ import csv
 import io
 import json
 import sys
-from typing import TYPE_CHECKING
+from contextlib import nullcontext
+from typing import TYPE_CHECKING, Iterable
 
 from .builders import (ThresholdGraph, _json_records, _threshold_lines,
                        brouwer_extremal, brouwer_extremal_plan,
@@ -38,7 +39,8 @@ def std_constructive(g: Graph, **options) -> DominanceReport:
     return dominance.std_constructive(g, **options)
 
 
-def scan_graph6_lines(lines: list[str], **options) -> ScanSummary:
+def scan_graph6_lines(lines: Iterable[str] | Iterable[bytes],
+                      **options) -> ScanSummary:
     from . import scan
     return scan.scan_graph6_lines(lines, **options)
 
@@ -57,16 +59,18 @@ def _jfloat(x: float) -> float:
     return float(_fmt(x))
 
 
+def _open_binary(path: str):
+    """A file, or stdin for '-', as a binary stream to use in a with block
+    (which leaves stdin open)."""
+    return nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
+
+
 def _read_text(path: str) -> str:
     """A file or stdin read as bytes and decoded as UTF-8 whatever the
     locale; a byte that is not UTF-8 becomes a lone surrogate, which the
     graph6 readers report as a bad byte of its own line."""
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    return data.decode("utf-8", "surrogateescape")
+    with _open_binary(path) as fh:
+        return fh.read().decode("utf-8", "surrogateescape")
 
 
 def _graphs_from_text(text: str) -> list[tuple[str, Graph]]:
@@ -282,14 +286,15 @@ def _cmd_search(args) -> int:
         summary = scan_all_graphs(args.gen_all, checks=checks, jobs=args.jobs,
                                   tol=args.tolerance, progress=args.progress)
     else:
-        text = _read_text(args.input)
-        summary = scan_graph6_lines(text.splitlines(), checks=checks,
-                                    jobs=args.jobs, tol=args.tolerance,
-                                    progress=args.progress)
+        # binary lines, pulled by the scan a chunk at a time; it decodes
+        # them as _read_text does
+        with _open_binary(args.input) as fh:
+            summary = scan_graph6_lines(fh, checks=checks, jobs=args.jobs,
+                                        tol=args.tolerance, progress=args.progress)
     if args.json:
         print(json.dumps(_summary_json_dict(summary), indent=2))
     else:
-        sys.stdout.write(summary.stdout_text())
+        sys.stdout.writelines(f"{line}\n" for line in summary.stdout_lines())
     sys.stderr.write(summary.stderr_text())
     return summary.exit_code
 

@@ -4,15 +4,17 @@ This module only chunks the input, calls ``spectra.verify`` and assembles
 events: the edge-bit order belongs to ``graphs``, and the Laplacian and
 the margins to ``spectra``.
 
-The stream is cut into fixed-size chunks before any worker is involved,
-every chunk is processed by the same batched path (``spectra.laplacians``
-on the edge-bit rows, then ``spectra.verify``: one batched LAPACK eigvalsh,
-exact integer bounds and the margin rows bound - prefix), each record's
-worst k and margin are read straight off its margin rows, and chunk
-results are reassembled in input order.  The summary is therefore
-byte-identical whatever the worker count; wall time (from the first line
-read) and worker count are reported separately and never enter the
-deterministic payload.
+The stream is cut into fixed-size chunks lazily, as the scan needs them:
+a stream chunk is its first line number and its lines as one text blob,
+and at most 2 x jobs chunks are in flight at once, so memory does not
+grow with the input.  Every chunk is processed by the same batched path
+(``spectra.laplacians`` on the edge-bit rows, then ``spectra.verify``:
+one batched LAPACK eigvalsh, exact integer bounds and the margin rows
+bound - prefix), each record's worst k and margin are read straight off
+its margin rows, and chunk results are reassembled in input order.  The
+summary is therefore byte-identical whatever the worker count; wall time
+(from the first line read) and worker count are reported separately and
+never enter the deterministic payload.
 
 A chunk is columnar from input to events.  Its graph6 texts are bucketed
 by length and each bucket is decoded at once by
@@ -23,7 +25,8 @@ anything malformed) go through ``decode_graph6``, the one writer of
 graph6 error messages; ``graphs.bit_rows`` unpacks those records, and
 the edge masks of generated chunks, into the same rows.  Events come back
 as arrays (position, check, k, margin, violation flag) ordered by position
-and check, and only the events the summary lists become objects.
+and check, and only the events the summary lists become objects; only
+their records' text is cut out of the blob.
 
 Inside ``verify``, a record that some check flags as a violation is
 confirmed once, all its checks together: the flagged records of a stack
@@ -38,8 +41,9 @@ from __future__ import annotations
 import os
 import sys
 import time
-from contextlib import nullcontext
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain, islice
 from multiprocessing import Pool
 from typing import Iterable, Iterator
 
@@ -102,27 +106,24 @@ class ScanSummary:
             return 1
         return 0
 
-    def stdout_text(self) -> str:
-        lines = [
-            f"records: {self.records}",
-            f"checks: {','.join(self.checks)}",
-            f"violations: {len(self.violations)}",
-        ]
+    def stdout_lines(self) -> Iterator[str]:
+        """The lines of ``stdout_text``, without their newlines."""
+        yield f"records: {self.records}"
+        yield f"checks: {','.join(self.checks)}"
+        yield f"violations: {len(self.violations)}"
         for v in self.violations:
-            lines.append(
-                f"VIOLATION {v.record} check={v.check} k={v.k} margin={v.margin:.12g}"
-            )
-        lines.append(f"near-equality: {self.near_count}")
+            yield f"VIOLATION {v.record} check={v.check} k={v.k} margin={v.margin:.12g}"
+        yield f"near-equality: {self.near_count}"
         for e in self.near:
-            lines.append(
-                f"NEAR {e.record} check={e.check} k={e.k} margin={e.margin:.12g}"
-            )
+            yield f"NEAR {e.record} check={e.check} k={e.k} margin={e.margin:.12g}"
         if self.near_count > len(self.near):
-            lines.append(f"(near-equality list capped at {NEAR_CAP})")
-        lines.append(f"errors: {len(self.errors)}")
+            yield f"(near-equality list capped at {NEAR_CAP})"
+        yield f"errors: {len(self.errors)}"
         for err in self.errors:
-            lines.append(f"ERROR line {err.line}: {err.message}")
-        return "\n".join(lines) + "\n"
+            yield f"ERROR line {err.line}: {err.message}"
+
+    def stdout_text(self) -> str:
+        return "".join(f"{line}\n" for line in self.stdout_lines())
 
     def stderr_text(self) -> str:
         worker = "worker" if self.jobs == 1 else "workers"
@@ -173,13 +174,21 @@ def _scan_chunk(payload) -> tuple[int, tuple[np.ndarray, ...], list]:
     events are five arrays, one entry per violation or near-equality
     event, ordered by (position, check): the record's position in the
     chunk, the check's index in the payload's checks, k, the margin, and
-    whether it is a violation.  A position indexes the payload's records
-    for a stream chunk and counts from its first mask for a generated
-    one.  errors are (line, message).
+    whether it is a violation.  A position counts lines from the first line
+    of a stream chunk and masks from the first mask of a generated one.
+    errors are (line, message).
     """
     kind, checks, tol = payload[0], payload[1], payload[2]
     if kind == "g6":
-        groups, errors = _g6_groups(payload[3])
+        first, lines = payload[3], _lines(payload[4])
+        numbered = [(first + i, text) for i, raw in enumerate(lines)
+                    if (text := raw.strip())]
+        groups, errors = _g6_groups(numbered)
+        if len(numbered) < len(lines):
+            # positions index the records; events give them as lines of
+            # the chunk, which differ once a line is blank
+            offsets = np.array([line for line, _ in numbered], dtype=np.int64) - first
+            groups = {n: (offsets[pos], rows) for n, (pos, rows) in groups.items()}
     else:
         n, start, stop = payload[3], payload[4], payload[5]
         masks = np.arange(start, stop)
@@ -225,49 +234,103 @@ def _resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _run_chunks(payloads: list, jobs: int, progress: bool) -> Iterator:
-    pooled = jobs > 1 and len(payloads) > 1
-    with Pool(min(jobs, len(payloads))) if pooled else nullcontext() as pool:
-        results = pool.imap(_scan_chunk, payloads) if pooled else map(_scan_chunk, payloads)
-        for i, result in enumerate(results, start=1):
-            yield result
-            if progress:
-                print(f"progress: {i}/{len(payloads)} chunks", file=sys.stderr)
+def _lines(blob) -> list[str] | tuple[str, ...]:
+    """The lines of a stream chunk's blob."""
+    return blob.split("\n") if isinstance(blob, str) else blob
 
 
-def _record_text(payload, pos: int) -> str:
-    """graph6 text of the record at ``pos`` in the chunk built by ``payload``."""
+def _stream_chunks(lines: Iterable, checks: tuple[str, ...],
+                   tol: float) -> Iterator[tuple]:
+    """Payloads of CHUNK input lines each, cut only as they are pulled.
+
+    A payload holds its first line number and its lines joined by newlines
+    into one blob.  bytes lines, as a binary file yields them, are joined,
+    decoded as UTF-8 with surrogateescape and split by ``str.splitlines``;
+    each chunk ends on a newline byte, so the line numbers are those of the
+    whole decoded text.  A str line that carries a newline of its own ships
+    in a tuple of lines instead.
+    """
+    lines = iter(lines)
+    first = 1
+    while chunk := list(islice(lines, CHUNK)):
+        if isinstance(chunk[0], bytes):
+            chunk = b"".join(chunk).decode("utf-8", "surrogateescape").splitlines()
+        blob = "\n".join(chunk)
+        if blob.count("\n") >= len(chunk):
+            blob = tuple(chunk)
+        yield ("g6", checks, tol, first, blob)
+        first += len(chunk)
+
+
+def _run_chunks(payloads: Iterator, jobs: int) -> Iterator[tuple]:
+    """(payload, result) of each chunk, in input order.
+
+    Input that fits in one chunk, or one job, runs in this process.
+    Otherwise a pool of ``jobs`` workers starts once a second chunk is
+    seen, and at most 2 x jobs chunks are in flight: the next payload is
+    pulled only when the oldest result has come back.
+    """
+    head = list(islice(payloads, 2))
+    if jobs == 1 or len(head) < 2:
+        for payload in chain(head, payloads):
+            yield payload, _scan_chunk(payload)
+        return
+    payloads = chain(head, payloads)
+    with Pool(jobs) as pool:
+        def submit(payload):
+            return payload, pool.apply_async(_scan_chunk, (payload,))
+
+        window = deque(map(submit, islice(payloads, 2 * jobs)))
+        while window:
+            payload, pending = window.popleft()
+            result = pending.get()
+            # refill first, so the workers stay busy while the result is
+            # assembled here
+            window.extend(map(submit, islice(payloads, 1)))
+            yield payload, result
+
+
+def _record_texts(payload, positions: list[int]) -> list[str]:
+    """graph6 texts of the records at ``positions`` of the chunk ``payload``."""
+    if not positions:
+        return []
     if payload[0] == "g6":
-        return payload[3][pos][1]
-    return encode_graph6(Graph(payload[3], payload[4] + pos))
+        lines = _lines(payload[4])
+        return [lines[p].strip() for p in positions]
+    n, start = payload[3], payload[4]
+    return [encode_graph6(Graph(n, start + p)) for p in positions]
 
 
-def _assemble(payloads: list, checks: tuple[str, ...], jobs: int,
-              progress: bool, started: float) -> ScanSummary:
+def _assemble(payloads: Iterator, checks: tuple[str, ...], jobs: int,
+              progress: bool, started: float, chunks: int | None = None) -> ScanSummary:
+    """Fold the chunk results into one summary; ``chunks`` is the chunk
+    count when it is known ahead, for the progress lines."""
     records = 0
     violations: list[Violation] = []
     near_count = 0
     near: list[NearEquality] = []
     errors: list[RecordError] = []
-    # the chunk generator goes first, so zip resumes it after its last
-    # chunk and its final progress line is printed
-    chunks = zip(_run_chunks(payloads, jobs, progress), payloads)
-    for (count, events, errs), payload in chunks:
+    for done, (payload, (count, events, errs)) in enumerate(
+            _run_chunks(payloads, jobs), start=1):
         records += count
         pos, check, k, margin, violation = events
         near_at = np.flatnonzero(~violation)
         near_count += len(near_at)
-        room = max(NEAR_CAP - len(near), 0)
-        # only the events that are listed become objects (and, for a
-        # generated chunk, get encoded); the other near events are counted
-        for i in np.flatnonzero(violation).tolist():
-            violations.append(Violation(_record_text(payload, int(pos[i])),
-                                        checks[check[i]], int(k[i]), float(margin[i])))
-        for i in near_at[:room].tolist():
-            near.append(NearEquality(_record_text(payload, int(pos[i])),
-                                     checks[check[i]], int(k[i]), float(margin[i])))
+        # only the events that are listed become objects (and get their
+        # record's text); the other near events are counted
+        listed = np.concatenate((np.flatnonzero(violation),
+                                 near_at[:max(NEAR_CAP - len(near), 0)]))
+        columns = (violation[listed].tolist(), check[listed].tolist(),
+                   k[listed].tolist(), margin[listed].tolist())
+        for text, flag, ci, kk, mm in zip(_record_texts(payload, pos[listed].tolist()),
+                                          *columns):
+            kind, out = (Violation, violations) if flag else (NearEquality, near)
+            out.append(kind(text, checks[ci], kk, mm))
         for line, message in errs:
             errors.append(RecordError(line, message))
+        if progress:
+            seen = f"{done}/{chunks} chunks" if chunks else f"{done} chunks, {records} records"
+            print(f"progress: {seen}", file=sys.stderr)
     return ScanSummary(
         records=records,
         checks=checks,
@@ -280,27 +343,21 @@ def _assemble(payloads: list, checks: tuple[str, ...], jobs: int,
     )
 
 
-def scan_graph6_lines(lines: Iterable[str], *, checks: Iterable[str] = ("brouwer",),
+def scan_graph6_lines(lines: Iterable[str] | Iterable[bytes], *,
+                      checks: Iterable[str] = ("brouwer",),
                       jobs: int | None = None, tol: float = DEFAULT_TOL,
                       progress: bool = False) -> ScanSummary:
     """Scan a stream of graph6 lines; blank lines are skipped but counted
-    for error line numbers."""
+    for error line numbers.
+
+    ``lines`` are str, one line each, or bytes lines as a binary file
+    yields them, which are decoded as UTF-8 with surrogateescape and split
+    like ``str.splitlines``.  They are read lazily, a chunk at a time.
+    """
     started = time.monotonic()
     checks = _validate_checks(checks)
     jobs = _resolve_jobs(jobs)
-    payloads = []
-    buf: list[tuple[int, str]] = []
-    for line_no, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        buf.append((line_no, text))
-        if len(buf) == CHUNK:
-            payloads.append(("g6", checks, tol, tuple(buf)))
-            buf = []
-    if buf:
-        payloads.append(("g6", checks, tol, tuple(buf)))
-    return _assemble(payloads, checks, jobs, progress, started)
+    return _assemble(_stream_chunks(lines, checks, tol), checks, jobs, progress, started)
 
 
 def scan_all_graphs(n: int, *, checks: Iterable[str] = ("brouwer",),
@@ -313,6 +370,6 @@ def scan_all_graphs(n: int, *, checks: Iterable[str] = ("brouwer",),
     checks = _validate_checks(checks)
     jobs = _resolve_jobs(jobs)
     total = 1 << (n * (n - 1) // 2)
-    payloads = [("gen", checks, tol, n, a, min(a + CHUNK, total))
-                for a in range(0, total, CHUNK)]
-    return _assemble(payloads, checks, jobs, progress, started)
+    payloads = (("gen", checks, tol, n, a, min(a + CHUNK, total))
+                for a in range(0, total, CHUNK))
+    return _assemble(payloads, checks, jobs, progress, started, -(-total // CHUNK))

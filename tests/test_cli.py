@@ -357,10 +357,17 @@ class TestSearch:
         assert from_file.stderr == from_stdin.stderr
         assert from_file.stderr.startswith(b"error: line 2: byte 1: ")
 
-    def test_progress_on_stderr(self, run):
+    def test_progress_on_stderr(self, run, tmp_path):
         rc, out, err = run(["search", "--gen-all", "4", "--progress"])
         assert rc == 0
-        assert "progress:" in err
+        assert "progress: 1/1 chunks\n" in err
+        assert "progress:" not in out
+        # a stream's chunk count is not known ahead
+        path = tmp_path / "stream.g6"
+        path.write_text(f"Bw\n\n{C8}\n")
+        rc, out, err = run(["search", str(path), "--progress"])
+        assert rc == 0
+        assert "progress: 1 chunks, 2 records\n" in err
         assert "progress:" not in out
 
 

@@ -263,6 +263,14 @@ class TestBitCodec:
             assert g.edges() == list(zip((rows + 1).tolist(), (cols + 1).tolist()))
             assert g.degrees() == tuple(int(d) for d in np.diag(lap))
 
+    def test_masked_edges_match_laplacian(self):
+        # up to 62 nodes the edges come off the node masks, not the walk
+        for n in (1, 2, 7, 30, 61, 62):
+            for seed in range(5):
+                g = self.seeded(n, seed)
+                rows, cols = np.nonzero(np.triu(laplacian(g), 1) == -1.0)
+                assert g.edges() == list(zip((rows + 1).tolist(), (cols + 1).tolist()))
+
     def test_packing_paths_agree(self):
         for n in self.NS:
             g, h = self.seeded(n, n + 2), self.seeded(n // 2, n + 3)

@@ -1,0 +1,194 @@
+"""Streaming `search`: line splitting, stdout pins, the chunk window, memory."""
+
+import functools
+import hashlib
+import importlib.util
+import io
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from specdom import scan
+from specdom.cli import main
+from specdom.graphs import Graph, encode_graph6
+from specdom.scan import CHUNK, scan_graph6_lines
+
+ROOT = Path(__file__).resolve().parent.parent
+CHECKS = "gmb,brouwer,std"
+
+
+def load_corpus_module():
+    """perfbench/corpus.py, the benchmark's seeded input generator, as is."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_corpus", ROOT / "perfbench" / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.lru_cache(maxsize=None)
+def stream_text(seed):
+    """The benchmark's search-stream corpus for ``seed``, as text."""
+    return load_corpus_module().search_stream(seed).text
+
+
+def random_records(count, seed):
+    """Seeded random graph6 records on 4 to 12 nodes, as bytes."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(4, 12)
+        out.append(encode_graph6(Graph(n, rng.getrandbits(n * (n - 1) // 2))).encode())
+    return out
+
+
+def edge_case_bytes():
+    """A search input that exercises every way str.splitlines breaks a line.
+
+    Besides "\\n" it has CRLF, a lone CR, \\v, \\f, \\x1c..\\x1e, U+0085 and
+    U+2028/9 in UTF-8, a byte that is not UTF-8, blank lines, a 513-node
+    record, valid records on both sides of the 4,096-record chunk boundary
+    (also with blanks and breaks near it) and no final newline.
+    """
+    recs = random_records(CHUNK + 300, 4096)
+    head = [
+        b"Bw\r\n",
+        b"GhCGKC\rDhc\n",
+        b"C~\vA_\fBw\x1cDhc\x1dC~\x1eBw\n",
+        "Bw\u2028C~\u2029Dhc\u0085A_\n".encode(),
+        b"B\xff\n",
+        b"\n",
+        b"   \n",
+        encode_graph6(Graph(513, 0)).encode() + b"\n",
+        b"G~~w??\r\n",
+        b"Dhd\n",
+    ]
+    body = [r + b"\n" for r in recs]
+    # breaks and blanks around line 4096, where a chunk of lines ends
+    body[CHUNK - len(head) - 3] = b"\n"
+    body[CHUNK - len(head) - 1] = recs[0] + b"\r" + recs[1] + b"\n"
+    body[CHUNK - len(head) + 1] = b"\r\n"
+    body[CHUNK - len(head) + 2] = b"##bad##\n"
+    tail = [b"\n", b"\x1c\n", recs[2] + b"\r\n", recs[3]]
+    return b"".join(head + body + tail)
+
+
+def run_search(argv, stdin_bytes=None):
+    """Run the CLI in this process; returns (exit code, stdout bytes)."""
+    saved = sys.stdin, sys.stdout
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+    try:
+        if stdin_bytes is not None:
+            sys.stdin = io.TextIOWrapper(io.BytesIO(stdin_bytes))
+        sys.stdout = out
+        rc = main(argv)
+        out.flush()
+    finally:
+        sys.stdin, sys.stdout = saved
+    return rc, out.buffer.getvalue()
+
+
+def digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestStreamPins:
+    # sha256 of stdout and the exit code, recorded from the scanner that
+    # read the whole input and split it with str.splitlines (38a84ac)
+    EDGE = ("b1cda912f30e42ff2e8f963f9cadd6f57c8ae35ae8cd9ea314c24a17fb3b5883", 2)
+    STREAMS = {
+        1: ("9b4e6ca668b7e60c805afe87e1dc09c200f9cec0c4185fb6c795d95e3ca81c7a", 0),
+        2: ("fd83658a5100bef056d7a8aa87dc4fed2c8c67d2c17406c4e86ad72c6b71054e", 0),
+    }
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_edge_case_input(self, tmp_path, source, jobs):
+        data = edge_case_bytes()
+        argv = ["search", "--check", CHECKS, "--jobs", str(jobs)]
+        if source == "file":
+            path = tmp_path / "edge.g6"
+            path.write_bytes(data)
+            rc, out = run_search(argv + [str(path)])
+        else:
+            rc, out = run_search(argv + ["-"], stdin_bytes=data)
+        assert (digest(out), rc) == self.EDGE
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_search_stream_corpus(self, tmp_path, seed, jobs):
+        path = tmp_path / "stream.g6"
+        path.write_text(stream_text(seed), encoding="ascii")
+        rc, out = run_search(["search", str(path), "--check", CHECKS,
+                              "--jobs", str(jobs)])
+        assert (digest(out), rc) == self.STREAMS[seed]
+
+
+class TestWindow:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_pulls_at_most_the_window(self, monkeypatch, jobs):
+        records = [r.decode() for r in random_records(8 * CHUNK, 8)]
+        pulled = 0
+
+        def lines():
+            nonlocal pulled
+            for record in records:
+                pulled += 1
+                yield record
+
+        # a progress line is written once a chunk's result is assembled
+        seen = []
+
+        class Stderr(io.StringIO):
+            def write(self, text):
+                seen.append(pulled)
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stderr", Stderr())
+        s = scan_graph6_lines(lines(), jobs=jobs, progress=True)
+        assert s.records == 8 * CHUNK
+        assert seen[0] <= (2 * jobs + 1) * CHUNK
+
+    def test_one_chunk_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(scan, "Pool", no_pool)
+        s = scan_graph6_lines([r.decode() for r in random_records(CHUNK, 1)], jobs=2)
+        assert s.records == CHUNK
+        assert scan.scan_all_graphs(5, jobs=2).records == 1024
+
+    def test_str_lines_with_newlines(self):
+        # lines as a text file yields them keep their line numbers
+        lines = ["Bw\n", "\n", "##bad##\n", "C~"]
+        s = scan_graph6_lines(lines)
+        assert s.records == 2
+        assert [(e.line, e.message[:6]) for e in s.errors] == [(3, "byte 0")]
+        assert s.stdout_text() == scan_graph6_lines(
+            [line.strip() for line in lines]).stdout_text()
+
+
+# Spawns the program from this small process and prints its max-RSS in KiB:
+# on Linux a program's max-RSS starts at that of the process that spawned
+# it, which would be the test runner's without this step.
+SPAWN = """import os, sys
+out = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=out)
+print(os.wait4(pid, 0)[2].ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB on Linux")
+def test_peak_rss_does_not_grow_with_input(run_python, tmp_path):
+    peaks = []
+    for chunks in (2, 16):
+        path = tmp_path / f"{chunks}.g6"
+        path.write_bytes(b"\n".join(random_records(chunks * CHUNK, 2016)) + b"\n")
+        proc = run_python(["-S", "-c", SPAWN, sys.executable, "-m", "specdom.cli",
+                           "search", str(path), "--check", CHECKS, "--jobs", "1"],
+                          text=True, check=True)
+        peaks.append(int(proc.stdout) / 1024)
+    assert peaks[1] - peaks[0] < 4.0, peaks
