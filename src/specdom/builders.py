@@ -93,21 +93,12 @@ class ThresholdGraph:
         return format_threshold(self.n, self.cols)
 
 
-# " c" for the column counts c of every threshold graph on up to 256 nodes
-_SPACED = tuple(f" {c}" for c in range(256))
-
-
 def format_threshold(n: int, cols: Sequence[int]) -> str:
-    """Text form "n: c_1 c_2 ... c_f" of valid columns ("n:" when empty).
+    """Text form "n: c_1 c_2 ... c_f" of columns ("n:" when empty).
 
-    The one writer of the format that ``parse_threshold`` reads.  ``cols``
-    must already satisfy the ``ThresholdGraph`` invariant, so ``cols[0]``
-    is the largest count; counts below 256 come from a table of " c"
-    strings instead of being converted one by one.
+    The one writer of the format that ``parse_threshold`` reads.
     """
-    if cols and cols[0] >= len(_SPACED):
-        return f"{n}:{''.join([f' {c}' for c in cols])}"
-    return f"{n}:{''.join([_SPACED[c] for c in cols])}"
+    return f"{n}:{''.join([f' {c}' for c in cols])}"
 
 
 def threshold_spectrum(n: int, cols: Sequence[int]) -> tuple[int, ...]:
@@ -273,9 +264,7 @@ def threshold_count(n: int, m: int) -> int:
     return _distinct_count(m, n - 1)
 
 
-def from_below_columns(n: int, cols: Sequence[int]) -> ThresholdGraph:
-    """Threshold graph from below-diagonal column counts."""
-    return ThresholdGraph(n, cols)
+from_below_columns = ThresholdGraph
 
 
 def parse_threshold(text: str) -> ThresholdGraph:
@@ -315,8 +304,7 @@ def from_creation_sequence(ops: str) -> ThresholdGraph:
     return ThresholdGraph(len(degs), DegreeSequence(degs).below_columns())
 
 
-def realize(t: ThresholdGraph) -> Graph:
-    return t.realize()
+realize = ThresholdGraph.realize
 
 
 def spectrum_of(t: ThresholdGraph):

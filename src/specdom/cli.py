@@ -17,8 +17,8 @@ import sys
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Iterable
 
-from .builders import (ThresholdGraph, _json_records, _threshold_lines,
-                       brouwer_extremal, brouwer_extremal_plan,
+from .builders import (ThresholdGraph, _check_edge_count, _json_records,
+                       _threshold_lines, brouwer_extremal, brouwer_extremal_plan,
                        clique_plus_isolated_threshold, cycle_dominator,
                        format_threshold, parse_threshold, pineapple,
                        split_dominator, threshold_count, union_merge)
@@ -311,10 +311,9 @@ def _cmd_enumerate(args) -> int:
         raise ValueError(
             f"enumeration needs 1 <= n <= {ENUMERATE_MAX_N}, got n={n}"
         )
-    cap = n * (n - 1) // 2
-    if m is not None and not 0 <= m <= cap:
-        raise ValueError(f"edge count m={m} outside 0..{cap}")
-    ms = range(cap + 1) if m is None else (m,)
+    if m is not None:
+        _check_edge_count(n, m)
+    ms = range(n * (n - 1) // 2 + 1) if m is None else (m,)
     count = sum(threshold_count(n, mm) for mm in ms)
     write = sys.stdout.write
     if args.json:

@@ -25,8 +25,8 @@ from .builders import (ThresholdGraph, brouwer_extremal, brouwer_extremal_plan,
                        format_threshold, threshold_columns, threshold_count,
                        threshold_spectrum)
 from .graphs import Graph, encode_graph6
-from .spectra import (CONFIRM_TOL, DEFAULT_TOL, CheckReport, Spectrum,
-                      eigenvalues, energy_count, laplacian_energy, reports)
+from .spectra import (DEFAULT_TOL, CheckReport, Spectrum, energy_count,
+                      laplacian, laplacian_energy, reports, verify)
 
 ENUMERATION_GUARD = 10_000_000
 
@@ -101,10 +101,15 @@ class DominanceReport:
         return tuple(out)
 
 
+def _scaled_energy(n: int, m: int, cols: tuple[int, ...]) -> int:
+    """n times a threshold graph's Laplacian energy, sum |n*v - 2m|, exact."""
+    two_m = 2 * m
+    return sum(abs(n * v - two_m) for v in threshold_spectrum(n, cols))
+
+
 def threshold_energy(t: ThresholdGraph) -> float:
     """Laplacian energy of a threshold graph, exact up to one division."""
-    two_m = 2 * t.m
-    return sum(abs(t.n * v - two_m) for v in t.spectrum_ints()) / t.n
+    return _scaled_energy(t.n, t.m, t.cols) / t.n
 
 
 def _formula_bounds(n: int, m: int) -> tuple[int, ...]:
@@ -213,15 +218,16 @@ def energy_witness(g: Graph, tol: float = DEFAULT_TOL
     dominates the graph's, together with the pair (LE graph, LE witness).
 
     The witness is the prefix-extremal threshold graph at k*, the number
-    of eigenvalues above the mean.  If its energy falls short even after
-    the confirmer's re-solve, that contradicts prefix dominance at k* and
+    of eigenvalues above the mean, on the spectrum ``spectra.verify``
+    confirms for the std check, as every other verdict does.  If its
+    energy still falls short, that contradicts prefix dominance at k* and
     raises BrouwerViolationError.
     """
-    for off_tol in (None, CONFIRM_TOL):
-        spec = eigenvalues(g, off_tol=off_tol)
-        t, pair, holds = _energy_fields(g, spec, tol)
-        if holds:
-            return t, pair
+    eigs = verify(laplacian(g)[None], ("std",), tol)[0]
+    spec = Spectrum(tuple(eigs[0].tolist()), g.n, g.m)
+    t, pair, holds = _energy_fields(g, spec, tol)
+    if holds:
+        return t, pair
     raise BrouwerViolationError(
         f"energy witness {t.serialize()!r} has LE {pair[1]:.12g} below the "
         f"graph's {pair[0]:.12g} at k*={energy_count(spec)} (n={g.n}, m={g.m})"
@@ -240,9 +246,8 @@ def max_energy_threshold(n: int) -> tuple[ThresholdGraph, float]:
     best_score = -1
     best_cols: tuple[int, ...] = ()
     for m in range(n * (n - 1) // 2 + 1):
-        two_m = 2 * m
         for cols in threshold_columns(n, m):
-            score = sum(abs(n * v - two_m) for v in threshold_spectrum(n, cols))
+            score = _scaled_energy(n, m, cols)
             if score > best_score or (score == best_score and cols < best_cols):
                 best_score = score
                 best_cols = cols

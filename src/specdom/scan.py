@@ -5,16 +5,19 @@ events: the edge-bit order belongs to ``graphs``, and the Laplacian and
 the margins to ``spectra``.
 
 The stream is cut into fixed-size chunks lazily, as the scan needs them:
-a stream chunk is its first line number and its lines as one text blob,
-and at most 2 x jobs chunks are in flight at once, so memory does not
-grow with the input.  Every chunk is processed by the same batched path
-(``spectra.laplacians`` on the edge-bit rows, then ``spectra.verify``:
-one batched LAPACK eigvalsh, exact integer bounds and the margin rows
-bound - prefix), each record's worst k and margin are read straight off
-its margin rows, and chunk results are reassembled in input order.  The
-summary is therefore byte-identical whatever the worker count; wall time
-(from the first line read) and worker count are reported separately and
-never enter the deterministic payload.
+a stream chunk is its first line number and its lines, as one text blob
+when they were read as bytes and as a tuple when they came as str, and
+at most 2 x jobs chunks are in flight at once, so memory does not grow
+with the input.  A record in a chunk is keyed once, by its line offset,
+and events and errors are numbered from that key.  Every chunk is
+processed by the same batched path (``spectra.laplacians`` on the
+edge-bit rows, then ``spectra.verify``: one batched LAPACK eigvalsh,
+exact integer bounds and the margin rows bound - prefix), each record's
+worst k and margin are read straight off its margin rows, and chunk
+results are reassembled in input order.  The summary is therefore
+byte-identical whatever the worker count; wall time (from the first line
+read) and worker count are reported separately and never enter the
+deterministic payload.
 
 A chunk is columnar from input to events.  Its graph6 texts are bucketed
 by length and each bucket is decoded at once by
@@ -26,7 +29,7 @@ graph6 error messages; ``graphs.bit_rows`` unpacks those records, and
 the edge masks of generated chunks, into the same rows.  Events come back
 as arrays (position, check, k, margin, violation flag) ordered by position
 and check, and only the events the summary lists become objects; only
-their records' text is cut out of the blob.
+their records' text is cut out of the chunk.
 
 Inside ``verify``, a record that some check flags as a violation is
 confirmed once, all its checks together: the flagged records of a stack
@@ -132,37 +135,37 @@ class ScanSummary:
 
 
 def _g6_groups(records) -> tuple[dict[int, tuple], list[tuple[int, str]]]:
-    """Decode a chunk of (line, text) records into bit-row groups by n.
+    """Decode (key, text) records into bit-row groups by n.
 
-    Returns ({n: (positions, bit_rows)}, errors): positions index the
-    chunk's records, and errors are (line, message) in line order.
-    Records are bucketed by text length and decoded a bucket at a time by
-    ``decode_graph6_batch``; the records it leaves go through
-    ``decode_graph6``, which refuses a record of more than MAX_N nodes.
+    Returns ({n: (keys, bit_rows)}, errors): keys are the records' own,
+    and errors are (key, message) in key order.  Records are bucketed by
+    text length and decoded a bucket at a time by ``decode_graph6_batch``;
+    the records it leaves go through ``decode_graph6``, which refuses a
+    record of more than MAX_N nodes.
     """
-    by_len: dict[int, list[int]] = {}
-    for pos, (_, text) in enumerate(records):
-        by_len.setdefault(len(text), []).append(pos)
+    by_len: dict[int, list[tuple[int, str]]] = {}
+    for record in records:
+        by_len.setdefault(len(record[1]), []).append(record)
     pieces: dict[int, list] = {}
-    fallback: list[int] = []
-    for length, positions in by_len.items():
-        pos = np.array(positions)
-        ok, n, bits = decode_graph6_batch([records[p][1] for p in positions], length)
-        fallback.extend(pos[~ok].tolist())
+    fallback: list[tuple[int, str]] = []
+    for length, bucket in by_len.items():
+        keys, texts = zip(*bucket)
+        ok, n, bits = decode_graph6_batch(texts, length)
+        fallback.extend(bucket[i] for i in np.flatnonzero(~ok).tolist())
+        keys = np.array(keys)
         for nn in np.unique(n[ok]).tolist():
             pick = ok & (n == nn)
             pieces.setdefault(nn, []).append(
-                (pos[pick], bits[pick, :nn * (nn - 1) // 2]))
+                (keys[pick], bits[pick, :nn * (nn - 1) // 2]))
     errors: list[tuple[int, str]] = []
-    for p in sorted(fallback):
-        line_no, text = records[p]
+    for key, text in sorted(fallback):
         try:
             g = decode_graph6(text, MAX_N)
         except Graph6Error as exc:
-            errors.append((line_no, str(exc)))
+            errors.append((key, str(exc)))
             continue
-        pieces.setdefault(g.n, []).append((np.array([p]), bit_rows(g.n, [g.bits])))
-    groups = {n: (np.concatenate([pos for pos, _ in parts]),
+        pieces.setdefault(g.n, []).append((np.array([key]), bit_rows(g.n, [g.bits])))
+    groups = {n: (np.concatenate([keys for keys, _ in parts]),
                   np.concatenate([rows for _, rows in parts]))
               for n, parts in pieces.items()}
     return groups, errors
@@ -174,21 +177,17 @@ def _scan_chunk(payload) -> tuple[int, tuple[np.ndarray, ...], list]:
     events are five arrays, one entry per violation or near-equality
     event, ordered by (position, check): the record's position in the
     chunk, the check's index in the payload's checks, k, the margin, and
-    whether it is a violation.  A position counts lines from the first line
-    of a stream chunk and masks from the first mask of a generated one.
-    errors are (line, message).
+    whether it is a violation.  A position is the record's line offset in
+    a stream chunk, blank lines counted, and its mask's offset from the
+    first mask of a generated one.  errors are (line, message), the line
+    numbered from the chunk's first line.
     """
     kind, checks, tol = payload[0], payload[1], payload[2]
     if kind == "g6":
         first, lines = payload[3], _lines(payload[4])
-        numbered = [(first + i, text) for i, raw in enumerate(lines)
-                    if (text := raw.strip())]
-        groups, errors = _g6_groups(numbered)
-        if len(numbered) < len(lines):
-            # positions index the records; events give them as lines of
-            # the chunk, which differ once a line is blank
-            offsets = np.array([line for line, _ in numbered], dtype=np.int64) - first
-            groups = {n: (offsets[pos], rows) for n, (pos, rows) in groups.items()}
+        groups, errors = _g6_groups((i, text) for i, raw in enumerate(lines)
+                                    if (text := raw.strip()))
+        errors = [(first + i, message) for i, message in errors]
     else:
         n, start, stop = payload[3], payload[4], payload[5]
         masks = np.arange(start, stop)
@@ -243,22 +242,21 @@ def _stream_chunks(lines: Iterable, checks: tuple[str, ...],
                    tol: float) -> Iterator[tuple]:
     """Payloads of CHUNK input lines each, cut only as they are pulled.
 
-    A payload holds its first line number and its lines joined by newlines
-    into one blob.  bytes lines, as a binary file yields them, are joined,
-    decoded as UTF-8 with surrogateescape and split by ``str.splitlines``;
-    each chunk ends on a newline byte, so the line numbers are those of the
-    whole decoded text.  A str line that carries a newline of its own ships
-    in a tuple of lines instead.
+    A payload holds its first line number and its lines.  bytes lines, as
+    a binary file yields them, are joined, decoded as UTF-8 with
+    surrogateescape and split by ``str.splitlines``; each chunk ends on a
+    newline byte, so the line numbers are those of the whole decoded text.
+    Those lines, which hold no newline, ship joined by newlines into one
+    text blob.  str lines ship as they come, in a tuple.
     """
     lines = iter(lines)
     first = 1
     while chunk := list(islice(lines, CHUNK)):
         if isinstance(chunk[0], bytes):
             chunk = b"".join(chunk).decode("utf-8", "surrogateescape").splitlines()
-        blob = "\n".join(chunk)
-        if blob.count("\n") >= len(chunk):
-            blob = tuple(chunk)
-        yield ("g6", checks, tol, first, blob)
+            yield ("g6", checks, tol, first, "\n".join(chunk))
+        else:
+            yield ("g6", checks, tol, first, tuple(chunk))
         first += len(chunk)
 
 

@@ -11,7 +11,7 @@ from specdom import (BrouwerViolationError, ThresholdGraph, energy_witness,
                      enumerate_threshold, max_energy_threshold, std_constructive,
                      std_oracle, threshold_columns, threshold_count,
                      threshold_energy)
-from specdom import builders, dominance
+from specdom import builders, dominance, spectra
 from specdom.builders import format_threshold, threshold_spectrum
 from specdom.cli import main
 from specdom.graphs import (Graph, complete_plus_isolated, cycle,
@@ -183,6 +183,27 @@ class TestEnergyWitness:
             t, (le_g, le_t) = energy_witness(g)
             assert t.m == g.m
             assert le_t >= le_g - 1e-8
+
+    def test_shortfall_raises_after_the_confirmer(self, monkeypatch):
+        calls = []
+        solve = spectra.jacobi_eigenvalues_batch
+
+        def counting(matrices, **kwargs):
+            calls.append(len(matrices))
+            return solve(matrices, **kwargs)
+
+        monkeypatch.setattr(spectra, "jacobi_eigenvalues_batch", counting)
+        with pytest.raises(BrouwerViolationError):
+            energy_witness(cycle(8), tol=-100)
+        assert calls
+
+    def test_matches_report_through_n5(self):
+        for n in range(1, 6):
+            for bits in range(1 << (n * (n - 1) // 2)):
+                g = Graph(n, bits)
+                r = std_constructive(g)
+                assert energy_witness(g) == (
+                    ThresholdGraph(n, r.energy_witness_cols), r.energy_pair), (n, bits)
 
 
 class TestMaxEnergy:

@@ -198,7 +198,7 @@ class TestBatchDecode:
     def test_shared_length_split_by_header(self):
         # n = 2, 3 and 4 all take one body byte
         texts = ["A_", "Bw", "C~", "Bo", "A?"]
-        groups, errors = _g6_groups(list(enumerate(texts, start=1)))
+        groups, errors = _g6_groups(list(enumerate(texts)))
         assert not errors
         assert sorted(groups) == [2, 3, 4]
         for n, (positions, rows) in groups.items():
