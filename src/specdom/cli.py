@@ -378,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--check", action="append", default=[],
                      help="gmb, brouwer, or std (repeatable or comma-joined; "
                           "default brouwer)")
-    p_s.add_argument("--jobs", type=int, default=None,
-                     help="worker count (default $SPECDOM_JOBS or 1)")
+    p_s.add_argument("--jobs", type=int, default=1,
+                     help="worker count (default 1)")
     p_s.add_argument("--progress", action="store_true",
                      help="progress lines on stderr")
     p_s.add_argument("--gen-all", type=int, default=None, metavar="N",

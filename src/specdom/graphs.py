@@ -73,24 +73,11 @@ def _set_pairs(n: int, bits: int) -> Iterator[tuple[int, int]]:
 
 
 @lru_cache(maxsize=64)
-def _later_masks(n: int) -> tuple[int, ...]:
-    """Per 0-based node v, the bits of the pairs (v, j), j > v: one in each
-    later column."""
-    return tuple(sum(1 << _bit_index(v, j) for j in range(v + 1, n)) for v in range(n))
-
-
-@lru_cache(maxsize=64)
-def _bit_columns(n: int) -> tuple[int, ...]:
-    """The 1-based node j + 1 of the column j of each bit position."""
-    return tuple(j + 1 for j in range(1, n) for _ in range(j))
-
-
-@lru_cache(maxsize=64)
 def _node_masks(n: int) -> tuple[int, ...]:
     """Per 0-based node v, the bits of every pair that contains v."""
-    # column v holds the pairs (u, v), u < v
-    return tuple((((1 << v) - 1) << _bit_index(0, v)) | later
-                 for v, later in enumerate(_later_masks(n)))
+    # column v holds the pairs (u, v), u < v, and each later column j the pair (v, j)
+    return tuple((((1 << v) - 1) << _bit_index(0, v))
+                 | sum(1 << _bit_index(v, j) for j in range(v + 1, n)) for v in range(n))
 
 
 def _pair_bit(n: int, u: int, v: int) -> int:
@@ -127,17 +114,6 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted 1-based edge list."""
-        if self.n <= 62:
-            # node u's later neighbours, lowest bit first, come out sorted
-            out = []
-            column = _bit_columns(self.n)
-            for u, mask in enumerate(_later_masks(self.n), start=1):
-                later = self.bits & mask
-                while later:
-                    low = later & -later
-                    out.append((u, column[low.bit_length() - 1]))
-                    later ^= low
-            return out
         return sorted((i + 1, j + 1) for i, j in _set_pairs(self.n, self.bits))
 
     def degrees(self) -> tuple[int, ...]:
@@ -317,14 +293,11 @@ def bit_rows(n: int, packed) -> np.ndarray:
     """(B, P) edge bits in {0, 1}, graph6 order, of B packed bit integers
     on n nodes, P = n(n-1)/2.
 
-    ``packed`` is an int64 array (then P must be below 63), unpacked by
-    shifts, or a sequence of Python ints of any size, unpacked from their
-    little-endian bytes.
+    ``packed`` is a sequence of Python ints of any size, such as a list or
+    a range, unpacked from their little-endian bytes.
     """
     import numpy as np
     nbits = n * (n - 1) // 2
-    if isinstance(packed, np.ndarray):
-        return ((packed[:, None] >> np.arange(nbits)) & 1).astype(np.uint8)
     nbytes = (nbits + 7) // 8
     raw = b"".join([b.to_bytes(nbytes, "little") for b in packed])
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(packed), nbytes)

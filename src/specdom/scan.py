@@ -5,11 +5,12 @@ events: the edge-bit order belongs to ``graphs``, and the Laplacian and
 the margins to ``spectra``.
 
 The stream is cut into fixed-size chunks lazily, as the scan needs them:
-a stream chunk is its first line number and its lines, as one text blob
-when they were read as bytes and as a tuple when they came as str, and
-at most 2 x jobs chunks are in flight at once, so memory does not grow
-with the input.  A record in a chunk is keyed once, by its line offset,
-and events and errors are numbered from that key.  Every chunk is
+a stream chunk is its first line number and its lines, split by
+``str.splitlines`` whether they came as bytes or as str, and shipped as
+one newline-joined text blob.  At most 2 x jobs chunks are in flight at
+once (one worker unless the caller asks for more), so memory does not
+grow with the input.  A record in a chunk is keyed once, by its line
+offset, and events and errors are numbered from that key.  Every chunk is
 processed by the same batched path (``spectra.laplacians`` on the
 edge-bit rows, then ``spectra.verify``: one batched LAPACK eigvalsh,
 exact integer bounds and the margin rows bound - prefix), each record's
@@ -26,10 +27,10 @@ validated and unpacked into (B, P) edge-bit rows by numpy.  Records
 that path does not take (multi-byte headers, the ``>>graph6<<`` prefix,
 anything malformed) go through ``decode_graph6``, the one writer of
 graph6 error messages; ``graphs.bit_rows`` unpacks those records, and
-the edge masks of generated chunks, into the same rows.  Events come back
-as arrays (position, check, k, margin, violation flag) ordered by position
-and check, and only the events the summary lists become objects; only
-their records' text is cut out of the chunk.
+the edge masks of generated chunks, as Python ints, into the same rows.
+Events come back as arrays (position, check, k, margin, violation flag)
+ordered by position and check, and only the events the summary lists
+become objects; only their records' text is cut out of the chunk.
 
 Inside ``verify``, a record that some check flags as a violation is
 confirmed once, all its checks together: the flagged records of a stack
@@ -41,7 +42,6 @@ near-equality events.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from collections import deque
@@ -184,14 +184,13 @@ def _scan_chunk(payload) -> tuple[int, tuple[np.ndarray, ...], list]:
     """
     kind, checks, tol = payload[0], payload[1], payload[2]
     if kind == "g6":
-        first, lines = payload[3], _lines(payload[4])
+        first, lines = payload[3], payload[4].split("\n")
         groups, errors = _g6_groups((i, text) for i, raw in enumerate(lines)
                                     if (text := raw.strip()))
         errors = [(first + i, message) for i, message in errors]
     else:
         n, start, stop = payload[3], payload[4], payload[5]
-        masks = np.arange(start, stop)
-        groups, errors = {n: (masks - start, bit_rows(n, masks))}, []
+        groups, errors = {n: (np.arange(stop - start), bit_rows(n, range(start, stop)))}, []
     records = 0
     found = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0),)]
     for n, (pos, rows) in sorted(groups.items()):
@@ -221,21 +220,10 @@ def _validate_checks(checks: Iterable[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _resolve_jobs(jobs: int | None) -> int:
-    if jobs is None:
-        raw = os.environ.get("SPECDOM_JOBS", "1")
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ValueError(f"SPECDOM_JOBS must be an integer, got {raw!r}")
+def _resolve_jobs(jobs: int) -> int:
     if jobs < 1:
         raise ValueError(f"worker count must be at least 1, got {jobs}")
     return jobs
-
-
-def _lines(blob) -> list[str] | tuple[str, ...]:
-    """The lines of a stream chunk's blob."""
-    return blob.split("\n") if isinstance(blob, str) else blob
 
 
 def _stream_chunks(lines: Iterable, checks: tuple[str, ...],
@@ -243,20 +231,22 @@ def _stream_chunks(lines: Iterable, checks: tuple[str, ...],
     """Payloads of CHUNK input lines each, cut only as they are pulled.
 
     A payload holds its first line number and its lines.  bytes lines, as
-    a binary file yields them, are joined, decoded as UTF-8 with
-    surrogateescape and split by ``str.splitlines``; each chunk ends on a
-    newline byte, so the line numbers are those of the whole decoded text.
-    Those lines, which hold no newline, ship joined by newlines into one
-    text blob.  str lines ship as they come, in a tuple.
+    a binary file yields them, are joined and decoded as UTF-8 with
+    surrogateescape; str lines are joined, each given a final newline if
+    it has none, so str items split like ``str.splitlines``, as bytes are.
+    Either text is split by ``str.splitlines``; each chunk ends on a line
+    break, so the line numbers are those of the whole text.  Those lines,
+    which hold no newline, ship joined by newlines into one text blob.
     """
     lines = iter(lines)
     first = 1
     while chunk := list(islice(lines, CHUNK)):
         if isinstance(chunk[0], bytes):
             chunk = b"".join(chunk).decode("utf-8", "surrogateescape").splitlines()
-            yield ("g6", checks, tol, first, "\n".join(chunk))
         else:
-            yield ("g6", checks, tol, first, tuple(chunk))
+            chunk = "".join([line if line.endswith("\n") else line + "\n"
+                             for line in chunk]).splitlines()
+        yield ("g6", checks, tol, first, "\n".join(chunk))
         first += len(chunk)
 
 
@@ -293,7 +283,7 @@ def _record_texts(payload, positions: list[int]) -> list[str]:
     if not positions:
         return []
     if payload[0] == "g6":
-        lines = _lines(payload[4])
+        lines = payload[4].split("\n")
         return [lines[p].strip() for p in positions]
     n, start = payload[3], payload[4]
     return [encode_graph6(Graph(n, start + p)) for p in positions]
@@ -343,14 +333,16 @@ def _assemble(payloads: Iterator, checks: tuple[str, ...], jobs: int,
 
 def scan_graph6_lines(lines: Iterable[str] | Iterable[bytes], *,
                       checks: Iterable[str] = ("brouwer",),
-                      jobs: int | None = None, tol: float = DEFAULT_TOL,
+                      jobs: int = 1, tol: float = DEFAULT_TOL,
                       progress: bool = False) -> ScanSummary:
     """Scan a stream of graph6 lines; blank lines are skipped but counted
     for error line numbers.
 
-    ``lines`` are str, one line each, or bytes lines as a binary file
-    yields them, which are decoded as UTF-8 with surrogateescape and split
-    like ``str.splitlines``.  They are read lazily, a chunk at a time.
+    ``lines`` are str, one line each with or without its newline, or bytes
+    lines as a binary file yields them, which are decoded as UTF-8 with
+    surrogateescape.  str items split like ``str.splitlines``, as bytes
+    are, so a text-mode file, a binary file and the command line number
+    the same lines.  They are read lazily, a chunk at a time.
     """
     started = time.monotonic()
     checks = _validate_checks(checks)
@@ -359,7 +351,7 @@ def scan_graph6_lines(lines: Iterable[str] | Iterable[bytes], *,
 
 
 def scan_all_graphs(n: int, *, checks: Iterable[str] = ("brouwer",),
-                    jobs: int | None = None, tol: float = DEFAULT_TOL,
+                    jobs: int = 1, tol: float = DEFAULT_TOL,
                     progress: bool = False) -> ScanSummary:
     """Scan every labelled graph on n nodes (n <= 7, 2^21 graphs at most)."""
     if not 1 <= n <= GEN_ALL_MAX:

@@ -264,7 +264,7 @@ class TestBitCodec:
             assert g.degrees() == tuple(int(d) for d in np.diag(lap))
 
     def test_masked_edges_match_laplacian(self):
-        # up to 62 nodes the edges come off the node masks, not the walk
+        # the edges come off the sorted bit-text walk at every n, 62 nodes included
         for n in (1, 2, 7, 30, 61, 62):
             for seed in range(5):
                 g = self.seeded(n, seed)

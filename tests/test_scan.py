@@ -341,16 +341,11 @@ class TestConfiguration:
         with pytest.raises(ValueError, match="at least one"):
             _validate_checks([])
 
-    def test_jobs_from_environment(self, monkeypatch):
-        monkeypatch.setenv("SPECDOM_JOBS", "3")
-        assert _resolve_jobs(None) == 3
+    def test_one_worker_by_default(self, monkeypatch):
+        # the worker count comes from the caller only, never the environment
         monkeypatch.setenv("SPECDOM_JOBS", "zero")
-        with pytest.raises(ValueError, match="SPECDOM_JOBS"):
-            _resolve_jobs(None)
-
-    def test_explicit_jobs_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("SPECDOM_JOBS", "5")
-        assert _resolve_jobs(2) == 2
+        assert scan_graph6_lines(["Bw"]).jobs == 1
+        assert scan_all_graphs(3).jobs == 1
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError, match="at least 1"):

@@ -127,6 +127,20 @@ class TestStreamPins:
         assert (digest(out), rc) == self.STREAMS[seed]
 
 
+def test_open_mode_does_not_change_the_scan(tmp_path):
+    # a text-mode file yields lines ending at "\n" (and CR), which may hold
+    # other breaks; they split as a binary file's and the CLI's lines do
+    path = tmp_path / "edge.g6"
+    path.write_bytes(edge_case_bytes())
+    with open(path, "rb") as fh:
+        binary = scan_graph6_lines(fh)
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = scan_graph6_lines(fh)
+    rc, out = run_search(["search", str(path)])
+    assert (text.stdout_text(), text.exit_code) == (binary.stdout_text(), binary.exit_code)
+    assert (binary.stdout_text().encode(), binary.exit_code) == (out, rc)
+
+
 class TestWindow:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_pulls_at_most_the_window(self, monkeypatch, jobs):
