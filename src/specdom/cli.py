@@ -10,8 +10,6 @@ Only ``analyze`` and ``search`` solve spectra, so only they load numpy.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from contextlib import nullcontext
@@ -20,13 +18,12 @@ from typing import TYPE_CHECKING, Iterable
 from .builders import (ThresholdGraph, _check_edge_count, _json_records,
                        _threshold_lines, brouwer_extremal, brouwer_extremal_plan,
                        clique_plus_isolated_threshold, cycle_dominator,
-                       format_threshold, parse_threshold, pineapple,
-                       split_dominator, threshold_count, union_merge)
+                       parse_threshold, pineapple, split_dominator,
+                       threshold_count, union_merge)
 from .graphs import (DEFAULT_TOL, MAX_N, Graph, Graph6Error, GraphInputError,
                      decode_graph6, encode_graph6, parse_edge_list)
 
 if TYPE_CHECKING:
-    from .dominance import DominanceReport
     from .scan import ScanSummary
 
 ENUMERATE_MAX_N = 20
@@ -34,11 +31,6 @@ ENUMERATE_MAX_N = 20
 
 # The solver entry points stay names of this module, called through it, so
 # that a tracer can wrap them here; main() has imported their modules first.
-def std_constructive(g: Graph, **options) -> DominanceReport:
-    from . import dominance
-    return dominance.std_constructive(g, **options)
-
-
 def scan_graph6_lines(lines: Iterable[str] | Iterable[bytes],
                       **options) -> ScanSummary:
     from . import scan
@@ -48,15 +40,6 @@ def scan_graph6_lines(lines: Iterable[str] | Iterable[bytes],
 def scan_all_graphs(n: int, **options) -> ScanSummary:
     from . import scan
     return scan.scan_all_graphs(n, **options)
-
-
-def _fmt(x: float) -> str:
-    """12 significant digits, integers without an exponent."""
-    return f"{x:.12g}"
-
-
-def _jfloat(x: float) -> float:
-    return float(_fmt(x))
 
 
 def _open_binary(path: str):
@@ -73,13 +56,13 @@ def _read_text(path: str) -> str:
         return fh.read().decode("utf-8", "surrogateescape")
 
 
-def _graphs_from_text(text: str) -> list[tuple[str, Graph]]:
-    """Parse analyze input: an edge-list file or graph6 lines.
+def _analyze_input(text: str) -> Graph | list[str]:
+    """Parse analyze input: an edge-list file's graph, or graph6 lines,
+    stripped, one record per non-blank line.
 
     A first non-blank line of two integers means edge-list; anything else
-    is treated as one graph6 record per line.  A node count above MAX_N,
-    read from the edge-list header or a graph6 size header, is an error
-    before any edge is decoded.
+    is treated as graph6.  A node count above MAX_N in the edge-list
+    header is an error before any edge is read.
     """
     stripped = [ln.strip() for ln in text.splitlines()]
     first = next((ln for ln in stripped if ln), None)
@@ -87,10 +70,19 @@ def _graphs_from_text(text: str) -> list[tuple[str, Graph]]:
         raise GraphInputError("line 1: empty input")
     fields = first.split()
     if len(fields) == 2 and all(f.lstrip("-").isdigit() for f in fields):
-        g = parse_edge_list(text, MAX_N)
-        return [(encode_graph6(g), g)]
+        return parse_edge_list(text, MAX_N)
+    return stripped
+
+
+def _graphs_from_text(text: str) -> list[tuple[str, Graph]]:
+    """analyze-style input as (id, graph) records, decoded one line at a
+    time without numpy, as ``build split-dominator`` reads its graph; a
+    graph6 size header above MAX_N is an error before the body is read."""
+    parsed = _analyze_input(text)
+    if isinstance(parsed, Graph):
+        return [(encode_graph6(parsed), parsed)]
     out = []
-    for line_no, ln in enumerate(stripped, start=1):
+    for line_no, ln in enumerate(parsed, start=1):
         if not ln:
             continue
         try:
@@ -100,100 +92,10 @@ def _graphs_from_text(text: str) -> list[tuple[str, Graph]]:
     return out
 
 
-def _check_json(report) -> dict:
-    return {
-        "holds": report.holds,
-        "worst_k": report.worst_k,
-        "min_margin": _jfloat(report.min_margin),
-    }
-
-
-def report_json_dict(report: DominanceReport) -> dict:
-    """JSON form of a dominance report, matching the shipped schema."""
-    return {
-        "id": report.graph_id,
-        "n": report.n,
-        "m": report.m,
-        "spectrum": [_jfloat(v) for v in report.spectrum],
-        "energy": _jfloat(report.energy),
-        "checks": {
-            "gmb": _check_json(report.gmb),
-            "brouwer": _check_json(report.brouwer),
-            "std": _check_json(report.std),
-        },
-        "witnesses": [
-            {"k": w.k, "cols": list(w.cols), "prefix_sum": w.prefix_sum}
-            for w in report.witnesses
-        ],
-    }
-
-
-def _near_note(report) -> str:
-    if not report.near_ks:
-        return ""
-    ks = report.near_ks
-    shown = ",".join(str(k) for k in ks[:8])
-    if len(ks) > 8:
-        shown += f",… ({len(ks)} positions)"
-    return f" [near-equality at k={shown}]"
-
-
-def _report_text(report: DominanceReport) -> str:
-    lines = [
-        f"id: {report.graph_id}",
-        f"n={report.n} m={report.m}",
-        "spectrum: " + " ".join(_fmt(v) for v in report.spectrum),
-        f"energy: {_fmt(report.energy)}",
-    ]
-    for check in (report.gmb, report.brouwer, report.std):
-        verdict = "holds" if check.holds else "VIOLATED"
-        lines.append(
-            f"{check.check}: {verdict} (worst k={check.worst_k}, "
-            f"margin {_fmt(check.min_margin)}){_near_note(check)}"
-        )
-    lines.append("witnesses:")
-    for w in report.witnesses:
-        serial = format_threshold(report.n, w.cols)
-        lines.append(f"  k={w.k}: {serial} | prefix {w.prefix_sum}")
-    le_g, le_t = report.energy_pair
-    serial = format_threshold(report.n, report.energy_witness_cols)
-    lines.append(
-        f"energy witness: {serial} | LE {_fmt(le_t)} >= {_fmt(le_g)}"
-    )
-    return "\n".join(lines) + "\n"
-
-
-def _report_csv(reports: list[DominanceReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([
-        "id", "n", "m", "energy",
-        "gmb_holds", "gmb_worst_k", "gmb_min_margin",
-        "brouwer_holds", "brouwer_worst_k", "brouwer_min_margin",
-        "std_holds", "std_worst_k", "std_min_margin",
-        "spectrum",
-    ])
-    for r in reports:
-        writer.writerow([
-            r.graph_id, r.n, r.m, _fmt(r.energy),
-            r.gmb.holds, r.gmb.worst_k, _fmt(r.gmb.min_margin),
-            r.brouwer.holds, r.brouwer.worst_k, _fmt(r.brouwer.min_margin),
-            r.std.holds, r.std.worst_k, _fmt(r.std.min_margin),
-            " ".join(_fmt(v) for v in r.spectrum),
-        ])
-    return buf.getvalue()
-
-
 def _cmd_analyze(args) -> int:
-    text = _read_text(args.input)
-    reports = [std_constructive(g, tol=args.tolerance, graph_id=rid)
-               for rid, g in _graphs_from_text(text)]
-    if args.json:
-        print(json.dumps([report_json_dict(r) for r in reports], indent=2))
-    elif args.csv:
-        sys.stdout.write(_report_csv(reports))
-    else:
-        sys.stdout.write("\n".join(_report_text(r) for r in reports))
+    from .writers import write_reports
+    fmt = "json" if args.json else "csv" if args.csv else "text"
+    write_reports(_analyze_input(_read_text(args.input)), sys.stdout, fmt, args.tolerance)
     return 0
 
 
@@ -254,25 +156,6 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _summary_json_dict(summary: ScanSummary) -> dict:
-    return {
-        "records": summary.records,
-        "checks": list(summary.checks),
-        "violations": [
-            {"id": v.record, "check": v.check, "k": v.k, "margin": _jfloat(v.margin)}
-            for v in summary.violations
-        ],
-        "near_equality_count": summary.near_count,
-        "near_equality": [
-            {"id": e.record, "check": e.check, "k": e.k, "margin": _jfloat(e.margin)}
-            for e in summary.near
-        ],
-        "errors": [
-            {"line": e.line, "message": e.message} for e in summary.errors
-        ],
-    }
-
-
 def _cmd_search(args) -> int:
     checks = []
     for item in args.check:
@@ -292,7 +175,8 @@ def _cmd_search(args) -> int:
             summary = scan_graph6_lines(fh, checks=checks, jobs=args.jobs,
                                         tol=args.tolerance, progress=args.progress)
     if args.json:
-        print(json.dumps(_summary_json_dict(summary), indent=2))
+        from .writers import write_summary_json
+        write_summary_json(sys.stdout.write, summary)
     else:
         sys.stdout.writelines(f"{line}\n" for line in summary.stdout_lines())
     sys.stderr.write(summary.stderr_text())
@@ -403,9 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("analyze", "search"):
-        # numpy loads here, before the command's work starts
-        from . import dominance, scan  # noqa: F401
+    # numpy loads here, before the command's work starts
+    if args.command == "analyze":
+        from . import writers  # noqa: F401
+    elif args.command == "search":
+        from . import scan  # noqa: F401
     try:
         return args.func(args)
     except BrokenPipeError:

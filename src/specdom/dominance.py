@@ -13,6 +13,14 @@ The per-k maxima of the two routes must agree exactly; disagreement is a
 theorem violation and raises rather than degrading into a verdict.  The
 energy route picks the extremal witness at k* (the number of eigenvalues
 above the mean 2m/n), whose Laplacian energy then dominates the graph's.
+
+One batched core, ``report_rows``, computes every report: it solves a
+stack of edge-bit rows with one ``spectra.verify`` call per capped stack
+and reads each record's spectrum, verdicts and energy witness off the
+arrays.  ``analyze`` writes its records straight from those rows, and
+``std_constructive`` and ``std_oracle`` build a DominanceReport from the
+batch of one.  Witnesses depend only on (n, m) and are cached there; the
+energy witness is cached per (n, m, k*).
 """
 
 from __future__ import annotations
@@ -20,13 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from typing import Iterator
 
 from .builders import (ThresholdGraph, brouwer_extremal, brouwer_extremal_plan,
                        format_threshold, threshold_columns, threshold_count,
                        threshold_spectrum)
-from .graphs import Graph, encode_graph6
-from .spectra import (DEFAULT_TOL, CheckReport, Spectrum, energy_count,
-                      laplacian, laplacian_energy, reports, verify)
+from .graphs import Graph, bit_rows, encode_graph6
+from .spectra import (CHECKS, DEFAULT_TOL, CheckReport, Spectrum, Verdicts,
+                      energy_count, laplacian, laplacian_energy, verdicts, verify)
 
 ENUMERATION_GUARD = 10_000_000
 
@@ -163,32 +172,67 @@ def _oracle_table(n: int, m: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...
     return tuple(maxima), tuple(witnesses)
 
 
-def _energy_fields(g: Graph, spec: Spectrum, tol: float):
+@lru_cache(maxsize=4096)
+def _energy_witness_at(n: int, m: int, k: int) -> tuple[ThresholdGraph, float]:
+    """The prefix-extremal threshold graph at k and its Laplacian energy."""
+    t = brouwer_extremal(n, m, k)
+    return t, threshold_energy(t)
+
+
+def _energy_fields(spec: Spectrum, tol: float):
     """Energy witness, the (graph, witness) energy pair, and whether it dominates."""
-    kstar = energy_count(spec)
-    t = brouwer_extremal(g.n, g.m, max(kstar, 1))
+    t, le_t = _energy_witness_at(spec.n, spec.m, max(energy_count(spec), 1))
     le_g = laplacian_energy(spec)
-    le_t = threshold_energy(t)
     return t, (le_g, le_t), le_t >= le_g - tol
 
 
-def _assemble(g: Graph, tol: float, graph_id: str | None, route: str,
-              witnesses: tuple[DominanceWitness, ...]) -> DominanceReport:
-    spec, checked = reports(g, ("gmb", "brouwer", "std"), tol)
-    ewit, pair, eholds = _energy_fields(g, spec, tol)
+@dataclass(frozen=True)
+class ReportRow:
+    """One record of ``report_rows``: its Spectrum, its energy fields, and
+    the stack's Verdicts with the record's index in it."""
+
+    verdicts: Verdicts
+    index: int
+    spectrum: Spectrum
+    energy_witness: ThresholdGraph
+    energy_pair: tuple[float, float]
+    energy_holds: bool
+
+
+def report_rows(n: int, rows, tol: float) -> Iterator[ReportRow]:
+    """Dominance verdicts of (B, P) edge-bit rows on n nodes, one record at
+    a time in row order.
+
+    The one report core: each capped stack of rows takes one ``verify``
+    call for all three checks, and each record is then read off the
+    stack's arrays, its Spectrum checked and its energy witness looked up
+    once per (n, m, k*).  Witnesses depend on (n, m) alone, so callers
+    take them from the per-(n, m) caches.
+    """
+    for v in verdicts(n, rows, CHECKS, tol):
+        for i in range(len(v)):
+            spec = v.spectrum(i)
+            yield ReportRow(v, i, spec, *_energy_fields(spec, tol))
+
+
+def _report(g: Graph, tol: float, graph_id: str | None, route: str,
+            witnesses: tuple[DominanceWitness, ...]) -> DominanceReport:
+    """One graph's report: ``report_rows`` on the batch of one."""
+    row = next(report_rows(g.n, bit_rows(g.n, [g.bits]), tol))
+    v = row.verdicts
     return DominanceReport(
         graph_id=graph_id if graph_id is not None else encode_graph6(g),
         n=g.n,
         m=g.m,
-        spectrum=spec.values,
-        energy=pair[0],
-        gmb=checked["gmb"],
-        brouwer=checked["brouwer"],
-        std=checked["std"],
+        spectrum=row.spectrum.values,
+        energy=row.energy_pair[0],
+        gmb=v.check_report(0, "gmb"),
+        brouwer=v.check_report(0, "brouwer"),
+        std=v.check_report(0, "std"),
         witnesses=witnesses,
-        energy_witness_cols=ewit.cols,
-        energy_pair=pair,
-        energy_holds=eholds,
+        energy_witness_cols=row.energy_witness.cols,
+        energy_pair=row.energy_pair,
+        energy_holds=row.energy_holds,
         route=route,
     )
 
@@ -196,8 +240,8 @@ def _assemble(g: Graph, tol: float, graph_id: str | None, route: str,
 def std_constructive(g: Graph, tol: float = DEFAULT_TOL,
                      graph_id: str | None = None) -> DominanceReport:
     """Dominance report with explicit extremal witnesses at every k."""
-    return _assemble(g, tol, graph_id, "constructive",
-                     _constructive_witnesses(g.n, g.m))
+    return _report(g, tol, graph_id, "constructive",
+                   _constructive_witnesses(g.n, g.m))
 
 
 def std_oracle(g: Graph, tol: float = DEFAULT_TOL,
@@ -209,7 +253,7 @@ def std_oracle(g: Graph, tol: float = DEFAULT_TOL,
     maxima, cols = _oracle_table(g.n, g.m)
     witnesses = tuple(DominanceWitness(k, cols[k - 1], maxima[k - 1])
                       for k in range(1, g.n + 1))
-    return _assemble(g, tol, graph_id, "oracle", witnesses)
+    return _report(g, tol, graph_id, "oracle", witnesses)
 
 
 def energy_witness(g: Graph, tol: float = DEFAULT_TOL
@@ -225,7 +269,7 @@ def energy_witness(g: Graph, tol: float = DEFAULT_TOL
     """
     eigs = verify(laplacian(g)[None], ("std",), tol)[0]
     spec = Spectrum(tuple(eigs[0].tolist()), g.n, g.m)
-    t, pair, holds = _energy_fields(g, spec, tol)
+    t, pair, holds = _energy_fields(spec, tol)
     if holds:
         return t, pair
     raise BrouwerViolationError(

@@ -7,10 +7,11 @@ are straight bit runs.  This module is the one owner of that bit order,
 for one pair (``_bit_index``) and as index arrays (``_pair_index``), and
 every conversion is linear in the bits: a packed integer and its
 graph6-order bit text convert in one step each way, for the codec, the
-edge walk and edge-list packing; ``decode_graph6_batch`` and ``bit_rows``
-give numpy edge-bit rows.  Node names are 1-based everywhere in the API.
-Only the three array functions use numpy, and they import it when called,
-so the codec and the parsers load without it.
+edge walk and edge-list packing; ``decode_graph6_batch``, ``_g6_groups``
+and ``bit_rows`` give numpy edge-bit rows, and ``encode_graph6_batch``
+turns them back into graph6.  Node names are 1-based everywhere in the
+API.  Only those array functions and ``_pair_index`` use numpy, and they
+import it when called, so the codec and the parsers load without it.
 """
 
 from __future__ import annotations
@@ -304,21 +305,79 @@ def bit_rows(n: int, packed) -> np.ndarray:
     return np.unpackbits(rows, axis=1, bitorder="little")[:, :nbits]
 
 
+def _g6_groups(records) -> tuple[dict[int, tuple], list[tuple[int, str]]]:
+    """Decode (key, text) records into bit-row groups by n.
+
+    Returns ({n: (keys, bit_rows)}, errors): keys are the records' own,
+    ascending within each group, and errors are (key, message) in key
+    order.  Records are bucketed by text length and decoded a bucket at a
+    time by ``decode_graph6_batch``; the records it leaves go through
+    ``decode_graph6``, which refuses a record of more than MAX_N nodes.
+    """
+    import numpy as np
+    by_len: dict[int, list[tuple[int, str]]] = {}
+    for record in records:
+        by_len.setdefault(len(record[1]), []).append(record)
+    pieces: dict[int, list] = {}
+    fallback: list[tuple[int, str]] = []
+    for length, bucket in by_len.items():
+        keys, texts = zip(*bucket)
+        ok, n, bits = decode_graph6_batch(texts, length)
+        fallback.extend(bucket[i] for i in np.flatnonzero(~ok).tolist())
+        keys = np.array(keys)
+        # bincount, not np.unique, which imports numpy.ma (2 MB) to run
+        for nn in np.flatnonzero(np.bincount(n[ok])).tolist():
+            pick = ok & (n == nn)
+            pieces.setdefault(nn, []).append(
+                (keys[pick], bits[pick, :nn * (nn - 1) // 2]))
+    errors: list[tuple[int, str]] = []
+    for key, text in sorted(fallback):
+        try:
+            g = decode_graph6(text, MAX_N)
+        except Graph6Error as exc:
+            errors.append((key, str(exc)))
+            continue
+        pieces.setdefault(g.n, []).append((np.array([key]), bit_rows(g.n, [g.bits])))
+    groups = {}
+    for n, parts in pieces.items():
+        keys = np.concatenate([keys for keys, _ in parts])
+        order = np.argsort(keys)
+        groups[n] = (keys[order], np.concatenate([rows for _, rows in parts])[order])
+    return groups, errors
+
+
+def _g6_header(n: int) -> str:
+    """graph6 size header: one byte up to n = 62, then "~" and 3 bytes,
+    then "~~" and 6."""
+    if n <= 62:
+        return chr(n + 63)
+    if n <= 258047:
+        return "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
+    return "~~" + "".join(chr(63 + ((n >> s) & 63)) for s in (30, 24, 18, 12, 6, 0))
+
+
 def encode_graph6(g: Graph) -> str:
     """Canonical graph6 record for a graph."""
-    n = g.n
-    if n <= 62:
-        header = chr(n + 63)
-    elif n <= 258047:
-        header = chr(126) + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
-    else:
-        header = chr(126) * 2 + "".join(
-            chr(63 + ((n >> s) & 63)) for s in (30, 24, 18, 12, 6, 0)
-        )
-    nbits = n * (n - 1) // 2
+    nbits = g.n * (g.n - 1) // 2
     text = _bit_text(g.bits, nbits) + "0" * (-nbits % 6)
-    return header + "".join([chr(int(text[k:k + 6], 2) + 63)
-                             for k in range(0, nbits, 6)])
+    return _g6_header(g.n) + "".join([chr(int(text[k:k + 6], 2) + 63)
+                                      for k in range(0, nbits, 6)])
+
+
+def encode_graph6_batch(n: int, rows) -> list[str]:
+    """``encode_graph6`` of B graphs on n nodes given as (B, P) edge bits in
+    {0, 1}, graph6 order: the bits are padded to 6-bit groups and each
+    group packed into one byte at once."""
+    import numpy as np
+    rows = np.asarray(rows, dtype=np.uint8)
+    size = -(-(n * (n - 1) // 2) // 6)
+    padded = np.zeros((len(rows), size * 6), np.uint8)
+    padded[:, :rows.shape[1]] = rows
+    # packbits fills 8 bits from the high end, so a group lands in bits 7..2
+    body = (np.packbits(padded.reshape(len(rows), size, 6), axis=2)[:, :, 0] >> 2) + 63
+    text = body.tobytes().decode("ascii")
+    header = _g6_header(n)
+    return [header + text[i * size:(i + 1) * size] for i in range(len(rows))]
 
 
 def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:

@@ -1,8 +1,8 @@
 """Bulk scanning of graph streams against spectral bounds.
 
-This module only chunks the input, calls ``spectra.verify`` and assembles
-events: the edge-bit order belongs to ``graphs``, and the Laplacian and
-the margins to ``spectra``.
+This module only chunks the input, calls ``spectra.verify_rows`` and
+assembles events: the edge-bit order and the graph6 batch reader belong
+to ``graphs``, and the Laplacian and the margins to ``spectra``.
 
 The stream is cut into fixed-size chunks lazily, as the scan needs them:
 a stream chunk is its first line number and its lines, split by
@@ -11,26 +11,29 @@ one newline-joined text blob.  At most 2 x jobs chunks are in flight at
 once (one worker unless the caller asks for more), so memory does not
 grow with the input.  A record in a chunk is keyed once, by its line
 offset, and events and errors are numbered from that key.  Every chunk is
-processed by the same batched path (``spectra.laplacians`` on the
-edge-bit rows, then ``spectra.verify``: one batched LAPACK eigvalsh,
-exact integer bounds and the margin rows bound - prefix), each record's
-worst k and margin are read straight off its margin rows, and chunk
-results are reassembled in input order.  The summary is therefore
-byte-identical whatever the worker count; wall time (from the first line
-read) and worker count are reported separately and never enter the
-deterministic payload.
+processed by the same batched path (``spectra.verify_rows``: per stack
+of at most 2^20 matrix entries, ``spectra.laplacians`` on the edge-bit
+rows, one batched LAPACK eigvalsh, exact integer bounds and the margin
+rows bound - prefix), each record's worst k and margin are read straight
+off its margin rows, and chunk results are reassembled in input order.
+The summary is therefore byte-identical whatever the worker count; wall
+time (from the first line read) and worker count are reported separately
+and never enter the deterministic payload.
 
-A chunk is columnar from input to events.  Its graph6 texts are bucketed
-by length and each bucket is decoded at once by
-``graphs.decode_graph6_batch``: one (B, L) array of character codes,
-validated and unpacked into (B, P) edge-bit rows by numpy.  Records
-that path does not take (multi-byte headers, the ``>>graph6<<`` prefix,
-anything malformed) go through ``decode_graph6``, the one writer of
-graph6 error messages; ``graphs.bit_rows`` unpacks those records, and
-the edge masks of generated chunks, as Python ints, into the same rows.
+A chunk is columnar from input to events.  ``graphs._g6_groups``, the
+reader ``analyze`` shares, buckets its graph6 texts by length and decodes
+each bucket at once by ``graphs.decode_graph6_batch``: one (B, L) array
+of character codes, validated and unpacked into (B, P) edge-bit rows by
+numpy.  Records that path does not take (multi-byte headers, the
+``>>graph6<<`` prefix, anything malformed) go through ``decode_graph6``,
+the one writer of graph6 error messages; ``graphs.bit_rows`` unpacks
+those records, and the edge masks of generated chunks, as Python ints,
+into the same rows.
 Events come back as arrays (position, check, k, margin, violation flag)
 ordered by position and check, and only the events the summary lists
-become objects; only their records' text is cut out of the chunk.
+become objects; only their records' text is cut out of the chunk, or,
+for a generated chunk, encoded by one ``graphs.encode_graph6_batch``
+call.
 
 Inside ``verify``, a record that some check flags as a violation is
 confirmed once, all its checks together: the flagged records of a stack
@@ -46,19 +49,17 @@ import sys
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from multiprocessing import Pool
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import (MAX_N, Graph, Graph6Error, bit_rows, decode_graph6,
-                     decode_graph6_batch, encode_graph6)
-from .spectra import DEFAULT_TOL, NEAR_EQUALITY, laplacians, verify
+from .graphs import _g6_groups, bit_rows, encode_graph6_batch
+from .spectra import CHECKS, DEFAULT_TOL, NEAR_EQUALITY, verify_rows
 
 CHUNK = 4096
 NEAR_CAP = 10000
-KNOWN_CHECKS = ("gmb", "brouwer", "std")
 GEN_ALL_MAX = 7
 
 
@@ -134,43 +135,6 @@ class ScanSummary:
                 f"({self.jobs} {worker})\n")
 
 
-def _g6_groups(records) -> tuple[dict[int, tuple], list[tuple[int, str]]]:
-    """Decode (key, text) records into bit-row groups by n.
-
-    Returns ({n: (keys, bit_rows)}, errors): keys are the records' own,
-    and errors are (key, message) in key order.  Records are bucketed by
-    text length and decoded a bucket at a time by ``decode_graph6_batch``;
-    the records it leaves go through ``decode_graph6``, which refuses a
-    record of more than MAX_N nodes.
-    """
-    by_len: dict[int, list[tuple[int, str]]] = {}
-    for record in records:
-        by_len.setdefault(len(record[1]), []).append(record)
-    pieces: dict[int, list] = {}
-    fallback: list[tuple[int, str]] = []
-    for length, bucket in by_len.items():
-        keys, texts = zip(*bucket)
-        ok, n, bits = decode_graph6_batch(texts, length)
-        fallback.extend(bucket[i] for i in np.flatnonzero(~ok).tolist())
-        keys = np.array(keys)
-        for nn in np.unique(n[ok]).tolist():
-            pick = ok & (n == nn)
-            pieces.setdefault(nn, []).append(
-                (keys[pick], bits[pick, :nn * (nn - 1) // 2]))
-    errors: list[tuple[int, str]] = []
-    for key, text in sorted(fallback):
-        try:
-            g = decode_graph6(text, MAX_N)
-        except Graph6Error as exc:
-            errors.append((key, str(exc)))
-            continue
-        pieces.setdefault(g.n, []).append((np.array([key]), bit_rows(g.n, [g.bits])))
-    groups = {n: (np.concatenate([keys for keys, _ in parts]),
-                  np.concatenate([rows for _, rows in parts]))
-              for n, parts in pieces.items()}
-    return groups, errors
-
-
 def _scan_chunk(payload) -> tuple[int, tuple[np.ndarray, ...], list]:
     """Process one chunk; returns (records, events, errors).
 
@@ -195,12 +159,13 @@ def _scan_chunk(payload) -> tuple[int, tuple[np.ndarray, ...], list]:
     found = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0),)]
     for n, (pos, rows) in sorted(groups.items()):
         records += len(pos)
-        margins = verify(laplacians(n, rows), checks, tol)[3]
-        for ci, check in enumerate(checks):
-            idx = margins[check].argmin(axis=1)
-            worst = margins[check][np.arange(len(idx)), idx]
-            hit = np.flatnonzero((worst < -tol) | (worst < NEAR_EQUALITY))
-            found.append((pos[hit], np.full(len(hit), ci), idx[hit] + 1, worst[hit]))
+        for part, (*_, margins) in verify_rows(n, rows, checks, tol):
+            for ci, check in enumerate(checks):
+                idx = margins[check].argmin(axis=1)
+                low = margins[check][np.arange(len(idx)), idx]
+                hit = np.flatnonzero((low < -tol) | (low < NEAR_EQUALITY))
+                found.append((pos[part][hit], np.full(len(hit), ci), idx[hit] + 1,
+                              low[hit]))
     pos, check, k, margin = (np.concatenate(col) for col in zip(*found))
     order = np.lexsort((check, pos))
     margin = margin[order]
@@ -211,8 +176,8 @@ def _scan_chunk(payload) -> tuple[int, tuple[np.ndarray, ...], list]:
 def _validate_checks(checks: Iterable[str]) -> tuple[str, ...]:
     out = []
     for c in checks:
-        if c not in KNOWN_CHECKS:
-            raise ValueError(f"unknown check {c!r}, expected one of {KNOWN_CHECKS}")
+        if c not in CHECKS:
+            raise ValueError(f"unknown check {c!r}, expected one of {CHECKS}")
         if c not in out:
             out.append(c)
     if not out:
@@ -230,22 +195,24 @@ def _stream_chunks(lines: Iterable, checks: tuple[str, ...],
                    tol: float) -> Iterator[tuple]:
     """Payloads of CHUNK input lines each, cut only as they are pulled.
 
-    A payload holds its first line number and its lines.  bytes lines, as
-    a binary file yields them, are joined and decoded as UTF-8 with
-    surrogateescape; str lines are joined, each given a final newline if
-    it has none, so str items split like ``str.splitlines``, as bytes are.
-    Either text is split by ``str.splitlines``; each chunk ends on a line
-    break, so the line numbers are those of the whole text.  Those lines,
-    which hold no newline, ship joined by newlines into one text blob.
+    A payload holds its first line number and its lines.  Items, bytes
+    lines as a binary file yields them or str lines, are joined, each
+    given a final newline if it has none, so no two items run together;
+    bytes are then decoded as UTF-8 with surrogateescape.  The text is
+    split by ``str.splitlines``; each chunk ends on a line break, so the
+    line numbers are those of the whole text.  Those lines, which hold no
+    newline, ship joined by newlines into one text blob.
     """
     lines = iter(lines)
     first = 1
     while chunk := list(islice(lines, CHUNK)):
+        # one final newline per item, whether it came with one or not
         if isinstance(chunk[0], bytes):
-            chunk = b"".join(chunk).decode("utf-8", "surrogateescape").splitlines()
+            text = (b"\n".join(map(bytes.removesuffix, chunk, repeat(b"\n")))
+                    + b"\n").decode("utf-8", "surrogateescape")
         else:
-            chunk = "".join([line if line.endswith("\n") else line + "\n"
-                             for line in chunk]).splitlines()
+            text = "\n".join(map(str.removesuffix, chunk, repeat("\n"))) + "\n"
+        chunk = text.splitlines()
         yield ("g6", checks, tol, first, "\n".join(chunk))
         first += len(chunk)
 
@@ -286,7 +253,7 @@ def _record_texts(payload, positions: list[int]) -> list[str]:
         lines = payload[4].split("\n")
         return [lines[p].strip() for p in positions]
     n, start = payload[3], payload[4]
-    return [encode_graph6(Graph(n, start + p)) for p in positions]
+    return encode_graph6_batch(n, bit_rows(n, [start + p for p in positions]))
 
 
 def _assemble(payloads: Iterator, checks: tuple[str, ...], jobs: int,

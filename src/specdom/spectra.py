@@ -25,15 +25,20 @@ batch of one: ``bound_rows`` writes the three bounds as exact integer
 rows, ``solve`` is the only eigensolve, and ``verify`` solves a stack,
 bounds every row, re-solves the rows some check flags by the Jacobi
 confirmer at a 100x tighter tolerance before a violation is believed,
-and returns the margin rows bound - prefix.  Every verdict reads those
-rows: the scan takes each record's worst k and margin from them, and
-``reports`` turns one graph's rows into CheckReports.
+and returns the margin rows bound - prefix.  ``verify_rows`` runs it on
+edge-bit rows a stack of at most STACK_ENTRIES matrix entries at a time,
+so memory does not grow with the number of rows.  Every verdict reads
+the margin rows: the scan takes each record's worst k and margin from
+them, and ``Verdicts`` reads one record's verdicts, or its CheckReports,
+off a stack's rows for the dominance reports and ``check_gmb`` and
+``check_brouwer``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -44,6 +49,10 @@ CONFIRM_TOL = OFF_TOL / 100.0
 MAX_SWEEPS = 64
 ZERO_SNAP = 1e-9
 NEAR_EQUALITY = 1e-4
+# the checks, one per row of bound_rows, in report order
+CHECKS = ("gmb", "brouwer", "std")
+# the most float64 matrix entries solved in one stack (8 MiB of Laplacians)
+STACK_ENTRIES = 1 << 20
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -89,8 +98,10 @@ def jacobi_eigenvalues_batch(matrices, *, off_tol: float = OFF_TOL,
     """Eigenvalues of a (B, n, n) stack of symmetric matrices, each row of
     the (B, n) result sorted descending.
 
-    Runs one cyclic pivot schedule on every matrix at once; converged
-    matrices get identity rotations.
+    Runs one cyclic pivot schedule on every matrix at once.  A matrix
+    whose own off-diagonal norm meets its target takes no more rotations,
+    so each row comes out as it would from the stack of one, up to the
+    sign of a zero.
     """
     a = np.array(matrices, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -112,18 +123,19 @@ def jacobi_eigenvalues_batch(matrices, *, off_tol: float = OFF_TOL,
         off = a.copy()
         np.einsum("bii->bi", off)[:] = 0.0
         off2 = (off * off).sum(axis=(1, 2))
-        if bool((off2 <= target * target).all()):
+        live = off2 > target * target
+        if not bool(live.any()):
             diag = np.einsum("bii->bi", a)
             return np.sort(diag, axis=1)[:, ::-1].copy()
         if sweep == max_sweeps:
             w = int(np.argmax(off2 - target * target))
             raise JacobiConvergenceError(
-                f"{int((off2 > target * target).sum())} of {nmat} matrices above target "
+                f"{int(live.sum())} of {nmat} matrices above target "
                 f"after {max_sweeps} sweeps, worst off-diagonal norm "
                 f"{math.sqrt(off2[w]):.3e} above {target[w]:.3e} (n={n})")
         for p, q in pairs:
             apq = a[:, p, q]
-            active = np.abs(apq) > skip
+            active = live & (np.abs(apq) > skip)
             if not bool(active.any()):
                 continue
             theta = (a[:, q, q] - a[:, p, p]) / np.where(active, 2.0 * apq, 1.0)
@@ -349,29 +361,83 @@ class CheckReport:
     near_ks: tuple[int, ...]
 
 
-def reports(g: Graph, checks, tol: float) -> tuple[Spectrum, dict[str, CheckReport]]:
-    """One graph through ``verify``: its spectrum and a CheckReport per
-    check, read off the check's margin row (worst k is the first smallest
-    margin).  Brouwer entries carry the std row as their effective bound."""
-    eigs, prefix, bounds, margins = verify(laplacian(g)[None], checks, tol)
-    pref = prefix[0].tolist()
-    std = bounds["std"][0].astype(float).tolist()
-    out = {}
-    for check in checks:
-        row = margins[check][0].tolist()
-        low = min(row)
-        effective = std if check == "brouwer" else [None] * g.n
-        entries = tuple(map(KEntry, range(1, g.n + 1), pref,
-                            bounds[check][0].astype(float).tolist(), row, effective))
-        out[check] = CheckReport(
-            check, g.n, g.m, tol, entries, low >= -tol, row.index(low) + 1, low,
-            tuple(k for k, margin in enumerate(row, 1) if margin < NEAR_EQUALITY))
-    return Spectrum(tuple(eigs[0].tolist()), g.n, g.m), out
+def verify_rows(n: int, rows: np.ndarray, checks, tol: float) -> Iterator[tuple]:
+    """``verify`` of the Laplacians of (B, P) edge-bit rows on n nodes, a
+    stack of at most STACK_ENTRIES matrix entries (one matrix at least) at
+    a time, so memory does not grow with B: yields (rows slice, verify's
+    four results) in row order."""
+    step = max(1, STACK_ENTRIES // (n * n))
+    for start in range(0, len(rows), step):
+        part = slice(start, start + step)
+        yield part, verify(laplacians(n, rows[part]), checks, tol)
+
+
+class Verdicts:
+    """Prefix-sum verdicts of one stack of B graphs on n nodes.
+
+    Holds ``verify``'s spectra, prefix sums, bound and margin rows;
+    ``spectrum``, ``check`` and ``near`` read one record's values off
+    them, and ``check_report`` its full CheckReport.
+    """
+
+    def __init__(self, n: int, rows: np.ndarray, result: tuple, tol: float):
+        self.n, self.tol = n, tol
+        eigs, self.prefix, self.bounds, self.margins = result
+        self.m = rows.sum(axis=1, dtype=np.int64).tolist()
+        self.values = eigs.tolist()
+
+    def __len__(self) -> int:
+        return len(self.m)
+
+    def spectrum(self, i: int) -> Spectrum:
+        return Spectrum(tuple(self.values[i]), self.n, self.m[i])
+
+    def check(self, i: int, check: str) -> tuple[bool, int, float]:
+        """(holds, worst k, smallest margin) of record i."""
+        return _verdict(self.margins[check][i].tolist(), self.tol)
+
+    def near(self, i: int, check: str) -> tuple[int, ...]:
+        """The ks where record i's margin is below the near-equality window."""
+        return _near(self.margins[check][i].tolist())
+
+    def check_report(self, i: int, check: str) -> CheckReport:
+        """Record i's CheckReport.  Brouwer entries carry the std row as
+        their effective bound."""
+        n = self.n
+        row = self.margins[check][i].tolist()
+        effective = (self.bounds["std"][i].astype(float).tolist() if check == "brouwer"
+                     else [None] * n)
+        entries = tuple(map(KEntry, range(1, n + 1), self.prefix[i].tolist(),
+                            self.bounds[check][i].astype(float).tolist(), row, effective))
+        return CheckReport(check, n, self.m[i], self.tol, entries, *_verdict(row, self.tol),
+                           _near(row))
+
+
+def _verdict(row: list[float], tol: float) -> tuple[bool, int, float]:
+    """(holds, worst k, smallest margin) of a margin row; the worst k is
+    the first smallest margin."""
+    low = min(row)
+    return low >= -tol, row.index(low) + 1, low
+
+
+def _near(row: list[float]) -> tuple[int, ...]:
+    return tuple(k for k, margin in enumerate(row, 1) if margin < NEAR_EQUALITY)
+
+
+def verdicts(n: int, rows: np.ndarray, checks, tol: float) -> Iterator[Verdicts]:
+    """``Verdicts`` of (B, P) edge-bit rows on n nodes, one capped stack of
+    ``verify_rows`` at a time, in row order."""
+    for part, result in verify_rows(n, rows, checks, tol):
+        yield Verdicts(n, rows[part], result, tol)
+
+
+def _one(g: Graph, check: str, tol: float) -> CheckReport:
+    return next(verdicts(g.n, bit_rows(g.n, [g.bits]), (check,), tol)).check_report(0, check)
 
 
 def check_gmb(g: Graph, tol: float = DEFAULT_TOL) -> CheckReport:
     """Check sum_{i<=k} lambda_i <= sum_{i<=k} d*_i for every k."""
-    return reports(g, ("gmb",), tol)[1]["gmb"]
+    return _one(g, "gmb", tol)
 
 
 def check_brouwer(g: Graph, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -379,4 +445,4 @@ def check_brouwer(g: Graph, tol: float = DEFAULT_TOL) -> CheckReport:
 
     Entries also carry the effective bound min(k*n, m + k(k+1)/2, 2m).
     """
-    return reports(g, ("brouwer",), tol)[1]["brouwer"]
+    return _one(g, "brouwer", tol)

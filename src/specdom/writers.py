@@ -1,0 +1,238 @@
+"""Streamed writers: ``analyze``'s reports and ``search --json``.
+
+``analyze`` decodes its whole input before it writes anything, so a bad
+record leaves stdout empty.  graph6 lines are decoded in batches of
+BATCH lines by ``graphs._g6_groups`` and kept as packed bit rows; an
+edge-list file is one graph.  Each batch's n-groups then go through
+``dominance.report_rows``, and every record is written, in input order,
+as soon as it is read off its stack's arrays.  No report object, dict or
+output string outlives its record.
+
+JSON is laid out here rather than by ``json.dumps(..., indent=2)`` of the
+whole payload, with the same bytes: ``json_object`` and ``json_list``
+nest value texts that are already laid out, and ``write_array`` writes
+an array one item at a time.  Only ``analyze`` and ``search --json`` load
+this module.
+"""
+
+from __future__ import annotations
+
+import csv
+import heapq
+from functools import lru_cache
+from operator import itemgetter
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Callable, Iterable
+
+import numpy as np
+
+from .builders import format_threshold
+from .dominance import ReportRow, _constructive_witnesses, report_rows
+from .graphs import Graph, Graph6Error, _g6_groups, bit_rows, encode_graph6
+from .spectra import CHECKS
+
+# graph6 lines decoded and solved together
+BATCH = 4096
+
+
+def _fmt(x: float) -> str:
+    """12 significant digits, integers without an exponent."""
+    return f"{x:.12g}"
+
+
+def _jfloat(x: float) -> str:
+    """JSON text of ``x`` rounded to 12 significant digits, as json.dumps
+    writes float(_fmt(x))."""
+    text = _fmt(x)
+    # a decimal of at most 12 digits with a point and no exponent is the
+    # shortest text of its float, so repr would return it unchanged
+    return text if "." in text and "e" not in text else repr(float(text))
+
+
+def json_list(items: list[str], depth: int) -> str:
+    """JSON array of item texts, laid out as json.dumps(indent=2) lays it
+    out ``depth`` levels deep; the items are laid out one level deeper."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+
+
+def json_object(fields: list[tuple[str, str]], depth: int) -> str:
+    """JSON object of (key, value text) fields, laid out as ``json_list``
+    lays out an array; keys are plain names that need no escaping."""
+    if not fields:
+        return "{}"
+    pad = "\n" + "  " * (depth + 1)
+    return ("{" + pad + ("," + pad).join([f'"{key}": {value}' for key, value in fields])
+            + pad[:-2] + "}")
+
+
+def write_array(write: Callable[[str], object], items: Iterable[str], depth: int) -> None:
+    """``json_list`` written one item at a time."""
+    pad = "\n" + "  " * (depth + 1)
+    sep = "[" + pad
+    for item in items:
+        write(sep + item)
+        sep = "," + pad
+    write("[]" if sep[0] == "[" else pad[:-2] + "]")
+
+
+# analyze --------------------------------------------------------------------
+
+def _decode(parsed: Graph | list[str]) -> tuple[list[str], list[dict]]:
+    """Record ids by line index and the records' batches, each
+    {n: (line indexes, packed edge-bit rows)}, or Graph6Error naming the
+    first bad line."""
+    if isinstance(parsed, Graph):
+        g = parsed
+        packed = np.packbits(bit_rows(g.n, [g.bits]), axis=1)
+        return [encode_graph6(g)], [{g.n: (np.zeros(1, np.int64), packed)}]
+    batches = []
+    for start in range(0, len(parsed), BATCH):
+        stop = min(start + BATCH, len(parsed))
+        groups, errors = _g6_groups((i, parsed[i]) for i in range(start, stop) if parsed[i])
+        if errors:
+            line, message = errors[0]
+            raise Graph6Error(f"line {line + 1}: {message}")
+        batches.append({n: (keys, np.packbits(rows, axis=1))
+                        for n, (keys, rows) in groups.items()})
+    return parsed, batches
+
+
+def _rows(batch: dict, tol: float) -> Iterable[tuple[int, ReportRow]]:
+    """(line index, ReportRow) of a batch's records in input order."""
+    groups = []
+    for n, (keys, packed) in batch.items():
+        rows = np.unpackbits(packed, axis=1, count=n * (n - 1) // 2)
+        groups.append(zip(keys.tolist(), report_rows(n, rows, tol)))
+    return heapq.merge(*groups, key=itemgetter(0))
+
+
+def _near_note(ks: tuple[int, ...]) -> str:
+    if not ks:
+        return ""
+    shown = ",".join(str(k) for k in ks[:8])
+    if len(ks) > 8:
+        shown += f",… ({len(ks)} positions)"
+    return f" [near-equality at k={shown}]"
+
+
+@lru_cache(maxsize=256)
+def _witness_text(n: int, m: int) -> str:
+    return "\n".join(["witnesses:"] + [
+        f"  k={w.k}: {format_threshold(n, w.cols)} | prefix {w.prefix_sum}"
+        for w in _constructive_witnesses(n, m)])
+
+
+@lru_cache(maxsize=256)
+def _witness_json(n: int, m: int) -> str:
+    """The witnesses array of a report, two levels deep."""
+    return json_list([json_object([("k", str(w.k)),
+                                   ("cols", json_list([str(c) for c in w.cols], 4)),
+                                   ("prefix_sum", str(w.prefix_sum))], 3)
+                      for w in _constructive_witnesses(n, m)], 2)
+
+
+def _report_text(rid: str, row: ReportRow) -> str:
+    v, i = row.verdicts, row.index
+    n, m = v.n, v.m[i]
+    le_g, le_t = row.energy_pair
+    lines = [
+        f"id: {rid}",
+        f"n={n} m={m}",
+        "spectrum: " + " ".join(map(_fmt, row.spectrum.values)),
+        f"energy: {_fmt(le_g)}",
+    ]
+    for check in CHECKS:
+        holds, worst_k, low = v.check(i, check)
+        verdict = "holds" if holds else "VIOLATED"
+        lines.append(f"{check}: {verdict} (worst k={worst_k}, "
+                     f"margin {_fmt(low)}){_near_note(v.near(i, check))}")
+    lines.append(_witness_text(n, m))
+    serial = format_threshold(n, row.energy_witness.cols)
+    lines.append(f"energy witness: {serial} | LE {_fmt(le_t)} >= {_fmt(le_g)}")
+    return "\n".join(lines) + "\n"
+
+
+def _report_csv(rid: str, row: ReportRow) -> list:
+    v, i = row.verdicts, row.index
+    out = [rid, v.n, v.m[i], _fmt(row.energy_pair[0])]
+    for check in CHECKS:
+        holds, worst_k, low = v.check(i, check)
+        out += [holds, worst_k, _fmt(low)]
+    out.append(" ".join(map(_fmt, row.spectrum.values)))
+    return out
+
+
+def _report_json(rid: str, row: ReportRow) -> str:
+    """A report's JSON object, laid out as an item of the top-level array."""
+    v, i = row.verdicts, row.index
+    checks = []
+    for check in CHECKS:
+        holds, worst_k, low = v.check(i, check)
+        checks.append((check, json_object([("holds", "true" if holds else "false"),
+                                           ("worst_k", str(worst_k)),
+                                           ("min_margin", _jfloat(low))], 3)))
+    return json_object([
+        ("id", _json_str(rid)),
+        ("n", str(v.n)),
+        ("m", str(v.m[i])),
+        ("spectrum", json_list(list(map(_jfloat, row.spectrum.values)), 2)),
+        ("energy", _jfloat(row.energy_pair[0])),
+        ("checks", json_object(checks, 2)),
+        ("witnesses", _witness_json(v.n, v.m[i])),
+    ], 1)
+
+
+CSV_HEADER = [
+    "id", "n", "m", "energy",
+    "gmb_holds", "gmb_worst_k", "gmb_min_margin",
+    "brouwer_holds", "brouwer_worst_k", "brouwer_min_margin",
+    "std_holds", "std_worst_k", "std_min_margin",
+    "spectrum",
+]
+
+
+def write_reports(parsed: Graph | list[str], out, fmt: str, tol: float) -> None:
+    """Write the reports of analyze input (an edge-list graph, or stripped
+    graph6 lines) to the text stream ``out`` as "text", "csv" or "json",
+    byte-identical to joining every report's text, one csv.writer run, or
+    json.dumps(list, indent=2) plus a newline."""
+    ids, batches = _decode(parsed)
+    records = ((ids[key], row) for batch in batches for key, row in _rows(batch, tol))
+    if fmt == "json":
+        write_array(out.write, (_report_json(rid, row) for rid, row in records), 0)
+        out.write("\n")
+    elif fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for rid, row in records:
+            writer.writerow(_report_csv(rid, row))
+    else:
+        sep = ""
+        for rid, row in records:
+            out.write(sep + _report_text(rid, row))
+            sep = "\n"
+
+
+# search --json --------------------------------------------------------------
+
+def _event_json(e) -> str:
+    return json_object([("id", _json_str(e.record)), ("check", _json_str(e.check)),
+                        ("k", str(e.k)), ("margin", _jfloat(e.margin))], 2)
+
+
+def write_summary_json(write: Callable[[str], object], summary) -> None:
+    """A ScanSummary as json.dumps(indent=2) of its JSON form plus a
+    newline, each listed event and error written on its own."""
+    checks = json_list([_json_str(c) for c in summary.checks], 1)
+    write(f'{{\n  "records": {summary.records},\n  "checks": {checks},\n  "violations": ')
+    write_array(write, map(_event_json, summary.violations), 1)
+    write(f',\n  "near_equality_count": {summary.near_count},\n  "near_equality": ')
+    write_array(write, map(_event_json, summary.near), 1)
+    write(',\n  "errors": ')
+    errors = (json_object([("line", str(e.line)), ("message", _json_str(e.message))], 2)
+              for e in summary.errors)
+    write_array(write, errors, 1)
+    write("\n}\n")

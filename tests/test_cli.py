@@ -17,10 +17,12 @@ try:
 except ImportError:
     jsonschema = None
 
-from specdom import enumerate_threshold
+from specdom import enumerate_threshold, scan_graph6_lines, std_constructive
 from specdom.builders import brouwer_extremal
 from specdom.cli import main
-from specdom.graphs import Graph, cycle, encode_graph6, from_edge_list
+from specdom.graphs import (Graph, complete as complete_graph, cycle, encode_graph6,
+                            from_edge_list)
+from specdom.writers import _jfloat
 
 C8 = "GhCGKC"
 K6_PLUS_2 = "G~~w??"
@@ -95,6 +97,43 @@ class TestAnalyze:
         assert rep["energy"] == 9.65685424949
         assert rep["checks"]["brouwer"]["worst_k"] == 3
         assert abs(payload[1]["checks"]["brouwer"]["min_margin"]) < 1e-9
+
+    def test_streamed_json_equals_dumps_of_the_reports(self, run):
+        # each record of a batch, read off its stack, against the library's
+        # report on the graph alone, laid out by json.dumps
+        rng = random.Random(1601)
+        graphs = [Graph(1, 0), Graph(5, 0), Graph(2, 1), cycle(8), complete_graph(6)]
+        graphs += [Graph(n, rng.getrandbits(n * (n - 1) // 2))
+                   for n in rng.choices(range(2, 14), k=40)]
+        graphs.append(graphs[-1])
+        text = "".join(encode_graph6(g) + "\n" for g in graphs)
+        rc, out, _ = run(["analyze", "-", "--json"], stdin_text=text)
+        assert rc == 0
+        expected = []
+        for g in graphs:
+            r = std_constructive(g)
+            checks = {c.check: {"holds": c.holds, "worst_k": c.worst_k,
+                                "min_margin": float(f"{c.min_margin:.12g}")}
+                      for c in (r.gmb, r.brouwer, r.std)}
+            expected.append({
+                "id": encode_graph6(g), "n": r.n, "m": r.m,
+                "spectrum": [float(f"{v:.12g}") for v in r.spectrum],
+                "energy": float(f"{r.energy:.12g}"), "checks": checks,
+                "witnesses": [{"k": w.k, "cols": list(w.cols), "prefix_sum": w.prefix_sum}
+                              for w in r.witnesses]})
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_json_float_text_is_repr_of_the_rounded_float(self):
+        # the writers skip repr(float(...)) where the 12-digit text is
+        # already the float's shortest text
+        rng = random.Random(1212)
+        xs = [0.0, -0.0, 4.0, -2.5, 1e-4, 9.99999999999e-5, 1e12, 999999999999.5,
+              1e15, 1e16, 123456789012345.0, 2.0 ** 60, 5e-324]
+        for _ in range(20000):
+            xs.append(rng.choice((-1, 1)) * 10 ** rng.uniform(-30, 30) * rng.random())
+            xs.append(round(rng.uniform(-50, 50), rng.randint(0, 14)))
+        for x in xs:
+            assert _jfloat(x) == json.dumps(float(f"{x:.12g}")), x
 
     def test_bad_record_is_an_error(self, run):
         rc, out, err = run(["analyze", "-"], stdin_text="##bad##\n")
@@ -327,6 +366,27 @@ class TestSearch:
         rc2, out2, _ = run(["search", "--gen-all", "5", "--jobs", "4"])
         assert (rc1, out1) == (rc2, out2)
 
+    @pytest.mark.parametrize("text, tol", [
+        ("", "1e-7"),
+        (f"Bw\n{C8}\n##bad##\n{K6_PLUS_2}\n\n\u00e9\n", "-0.5"),
+    ], ids=["empty", "every-list"])
+    def test_json_streams_like_dumps(self, run, text, tol):
+        rc, out, _ = run(["search", "-", "--json", "--check", "gmb,brouwer",
+                          "--tolerance", tol], stdin_text=text)
+        s = scan_graph6_lines(text.splitlines(), checks=("gmb", "brouwer"),
+                              tol=float(tol))
+        assert rc == s.exit_code
+
+        def event(e):
+            return {"id": e.record, "check": e.check, "k": e.k,
+                    "margin": float(f"{e.margin:.12g}")}
+        payload = {"records": s.records, "checks": list(s.checks),
+                   "violations": [event(v) for v in s.violations],
+                   "near_equality_count": s.near_count,
+                   "near_equality": [event(e) for e in s.near],
+                   "errors": [{"line": e.line, "message": e.message} for e in s.errors]}
+        assert out == json.dumps(payload, indent=2) + "\n"
+
     def test_json_matches_schema(self, run):
         rc, out, _ = run(["search", "-", "--json"],
                          stdin_text=K6_PLUS_2 + "\n")
@@ -479,6 +539,18 @@ class TestMixedCorpus:
     ], ids=["text", "csv", "json"])
     def test_analyze_digest(self, run, corpus, flags, digest):
         rc, out, _ = run(["analyze", corpus, *flags])
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # --tolerance -1 flags every record, so each goes through the Jacobi
+    # confirmer; recorded when every record was confirmed on its own
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "287969a16713ddffadda94ab465944d32e84d075147d5d99b4475812e8b7bfcb"),
+        (["--csv"], "43a7001ae818d2da475e19a480263293e496b746cc0c4810a26ad054cfaa5446"),
+        (["--json"], "c80790986e725a6d388c3d12b4bd4732e1317a67e1d2a7598d6c81114a80c3ed"),
+    ], ids=["text", "csv", "json"])
+    def test_confirmed_analyze_digest(self, run, corpus, flags, digest):
+        rc, out, _ = run(["analyze", corpus, "--tolerance", "-1", *flags])
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

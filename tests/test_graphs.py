@@ -11,6 +11,7 @@ from specdom import (Graph, Graph6Error, GraphInputError, complement,
                      complete, complete_plus_isolated, cycle, decode_graph6,
                      disjoint_union, encode_graph6, format_edge_list,
                      from_edge_list, iter_graph6, parse_edge_list)
+from specdom.graphs import bit_rows, encode_graph6_batch
 from specdom.spectra import laplacian
 
 
@@ -182,6 +183,15 @@ class TestGraph6RoundTrip:
             n = rng.randint(1, 12)
             g = Graph(n, rng.randrange(1 << (n * (n - 1) // 2)))
             assert decode_graph6(encode_graph6(g)) == g
+
+    def test_batch_encoder_matches_encode_graph6(self):
+        rng = random.Random(6262)
+        for n in range(1, 63):
+            graphs = [Graph(n, rng.getrandbits(n * (n - 1) // 2)) for _ in range(7)]
+            graphs.append(Graph(n, (1 << (n * (n - 1) // 2)) - 1))
+            rows = bit_rows(n, [g.bits for g in graphs])
+            assert encode_graph6_batch(n, rows) == [encode_graph6(g) for g in graphs], n
+        assert encode_graph6_batch(5, bit_rows(5, [])) == []
 
     def test_iter_graph6_skips_blanks(self):
         lines = ["Bw", "", "  ", "Dhc"]

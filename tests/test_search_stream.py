@@ -185,6 +185,18 @@ class TestWindow:
             [line.strip() for line in lines]).stdout_text()
 
 
+    def test_bytes_items_without_newlines(self):
+        # every item gets a final line break, bytes as str
+        lines = ["Bw", "C~", "", "##bad##", "Dhc\r", "A_"]
+        as_str = scan_graph6_lines(lines)
+        as_bytes = scan_graph6_lines([line.encode() for line in lines])
+        rc, out = run_search(["search", "-"], stdin_bytes="\n".join(lines).encode())
+        assert as_str.records == 4
+        assert [e.line for e in as_str.errors] == [4]
+        assert (as_bytes.stdout_text(), as_bytes.exit_code) == (as_str.stdout_text(), 2)
+        assert (out, rc) == (as_str.stdout_text().encode(), 2)
+
+
 # Spawns the program from this small process and prints its max-RSS in KiB:
 # on Linux a program's max-RSS starts at that of the process that spawned
 # it, which would be the test runner's without this step.
@@ -205,4 +217,59 @@ def test_peak_rss_does_not_grow_with_input(run_python, tmp_path):
                            "search", str(path), "--check", CHECKS, "--jobs", "1"],
                           text=True, check=True)
         peaks.append(int(proc.stdout) / 1024)
+    assert peaks[1] - peaks[0] < 4.0, peaks
+
+
+# As SPAWN, with the program's stdout written to the file argv[1].
+SPAWN_TO = """import os, sys
+out = [(os.POSIX_SPAWN_OPEN, 1, sys.argv[1], os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)]
+pid = os.posix_spawn(sys.argv[2], sys.argv[2:], os.environ, file_actions=out)
+print(os.wait4(pid, 0)[2].ru_maxrss)
+"""
+
+
+def spawn_cli(run_python, out_path, *argv):
+    """(peak RSS in MB, stdout sha256) of the CLI run in a fresh process."""
+    proc = run_python(["-S", "-c", SPAWN_TO, str(out_path), sys.executable, "-m",
+                       "specdom.cli", *argv], text=True, check=True)
+    return int(proc.stdout) / 1024, digest(out_path.read_bytes())
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB on Linux")
+def test_solve_stacks_are_capped(run_python, tmp_path):
+    # one chunk of 4,096 records on 60 nodes; uncapped, its Laplacian stack
+    # alone is 118 MB and the run peaked at 217 MB
+    rng = random.Random(60)
+    path = tmp_path / "n60.g6"
+    path.write_text("".join(encode_graph6(Graph(60, rng.getrandbits(60 * 59 // 2))) + "\n"
+                            for _ in range(CHUNK)))
+    peak, sha = spawn_cli(run_python, tmp_path / "out", "search", str(path),
+                          "--check", CHECKS, "--jobs", "1")
+    assert peak < 100.0
+    # recorded from the uncapped scan
+    assert sha == "a9542465f2f99d367422e4bc017a1ec4b14abd02a3d6baaff3d58c11f02b0fb9"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB on Linux")
+def test_search_json_streams_its_lists(run_python, tmp_path):
+    # 196,608 errors: --json once peaked at three times the text output
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"##bad##\n" * 48 * CHUNK)
+    text_peak, text_sha = spawn_cli(run_python, tmp_path / "text", "search", str(path))
+    json_peak, json_sha = spawn_cli(run_python, tmp_path / "json", "search", str(path),
+                                    "--json")
+    assert json_peak < 1.1 * text_peak, (json_peak, text_peak)
+    # recorded from the writers that built the whole output first
+    assert text_sha == "078b36e7608cc82e6738e95cf43bd7027e9e3d1a213db361acc1bbc0ff714358"
+    assert json_sha == "d86ae450652becb7f1256ec4c30e68f6d4ae6467fddd57beaedf614f3d7a4266"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB on Linux")
+def test_analyze_peak_rss_does_not_grow_with_input(run_python, tmp_path):
+    peaks = []
+    for chunks in (1, 6):
+        path = tmp_path / f"{chunks}.g6"
+        path.write_bytes(b"\n".join(random_records(chunks * CHUNK, 1606)) + b"\n")
+        peaks.append(spawn_cli(run_python, tmp_path / "out", "analyze", str(path),
+                               "--json")[0])
     assert peaks[1] - peaks[0] < 4.0, peaks

@@ -69,6 +69,18 @@ class TestJacobi:
                 assert np.allclose(batch[i], jacobi_eigenvalues(stack[i]),
                                    atol=1e-10)
 
+    def test_converged_matrix_takes_no_more_rotations(self):
+        # the first matrix meets its target before any sweep, but its pivot
+        # is above the skip size and its diagonal repeats, so one rotation
+        # would move two eigenvalues by 2e-12 while its stack mate converges
+        a = np.diag([2.0, 2.0, 5.0])
+        a[0, 1] = a[1, 0] = 2e-12
+        mate = np.array([[1.0, 0.5, 0.3], [0.5, 2.0, 0.7], [0.3, 0.7, 3.0]])
+        together = jacobi_eigenvalues_batch(np.stack([a, mate]))
+        for row, m in zip(together, (a, mate)):
+            assert row.tobytes() == jacobi_eigenvalues_batch(m[None])[0].tobytes()
+        assert together[0].tolist() == [5.0, 2.0, 2.0]
+
     def test_zero_sweep_budget_raises(self):
         a = laplacian(cycle(5))
         with pytest.raises(JacobiConvergenceError):
