@@ -372,8 +372,7 @@ def brouwer_extremal_plan(n: int, m: int, k: int) -> ExtremalPlan:
     """
     if not 1 <= k <= n:
         raise ValueError(f"position k={k} outside 1..{n}")
-    if not 0 <= m <= n * (n - 1) // 2:
-        raise ValueError(f"edge count m={m} outside 0..{n * (n - 1) // 2}")
+    _check_edge_count(n, m)
     kn = k * n
     brw = m + k * (k + 1) // 2
     full = 2 * m

@@ -205,49 +205,50 @@ def disjoint_union(graphs: Iterable[Graph]) -> Graph:
 _G6_PREFIX = ">>graph6<<"
 
 
-def _g6_size(s: str) -> tuple[int, int]:
-    """Node count and header length of a graph6 record."""
-    c0 = ord(s[0]) - 63
+def _g6_size(s: str, at: int) -> tuple[int, int]:
+    """Node count of the graph6 record whose header starts at byte ``at``
+    of s, and the offset of its body."""
+    c0 = ord(s[at]) - 63
     if c0 < 63:
-        return c0, 1
+        return c0, at + 1
     # "~~" and 6 size bytes from n = 258048 on, "~" and 3 below
-    start, end = (2, 8) if s[1:2] == chr(126) else (1, 4)
+    start, end = (at + 2, at + 8) if s[at + 1:at + 2] == chr(126) else (at + 1, at + 4)
     if len(s) < end:
-        raise Graph6Error(f"byte {start - 1}: truncated {end}-byte size header")
+        raise Graph6Error(f"byte {start - 1}: truncated {end - at}-byte size header")
     return int("".join([format(ord(c) - 63, "06b") for c in s[start:end]]), 2), end
 
 
 def decode_graph6(text: str, max_n: int | None = None) -> Graph:
-    """Decode one graph6 record; errors name the byte offset at fault.
+    """Decode one graph6 record; errors name the byte offset at fault,
+    counted from the start of the text, ``>>graph6<<`` prefix included.
 
     With ``max_n``, a size header above it is an error before the body is
     decoded.
     """
     s = text.rstrip("\n")
-    if s.startswith(_G6_PREFIX):
-        s = s[len(_G6_PREFIX):]
-    if not s:
-        raise Graph6Error("byte 0: empty record")
-    for off, ch in enumerate(s):
+    at = len(_G6_PREFIX) if s.startswith(_G6_PREFIX) else 0
+    if len(s) == at:
+        raise Graph6Error(f"byte {at}: empty record")
+    for off, ch in enumerate(s[at:], at):
         code = ord(ch)
         if code < 63 or code > 126:
             raise Graph6Error(f"byte {off}: character {ch!r} outside graph6 range 63..126")
-    n, header_len = _g6_size(s)
+    n, body_at = _g6_size(s, at)
     if max_n is not None and n > max_n:
-        raise Graph6Error(f"byte 0: n={n} exceeds the {max_n}-node limit")
+        raise Graph6Error(f"byte {at}: n={n} exceeds the {max_n}-node limit")
     if n == 0:
-        raise Graph6Error("byte 0: node count 0 unsupported (graphs need a node)")
+        raise Graph6Error(f"byte {at}: node count 0 unsupported (graphs need a node)")
     nbits = n * (n - 1) // 2
     expected = (nbits + 5) // 6
-    body = len(s) - header_len
+    body = len(s) - body_at
     if body != expected:
         raise Graph6Error(
-            f"byte {header_len}: body holds {body} characters, n={n} needs {expected}"
+            f"byte {body_at}: body holds {body} characters, n={n} needs {expected}"
         )
-    text = "".join([format(ord(c) - 63, "06b") for c in s[header_len:]])
+    text = "".join([format(ord(c) - 63, "06b") for c in s[body_at:]])
     pad = text.find("1", nbits)
     if pad >= 0:
-        raise Graph6Error(f"byte {header_len + pad // 6}: nonzero padding bit")
+        raise Graph6Error(f"byte {body_at + pad // 6}: nonzero padding bit")
     return Graph(n, _pack(text[:nbits]))
 
 
@@ -303,6 +304,10 @@ def bit_rows(n: int, packed) -> np.ndarray:
     raw = b"".join([b.to_bytes(nbytes, "little") for b in packed])
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(packed), nbytes)
     return np.unpackbits(rows, axis=1, bitorder="little")[:, :nbits]
+
+
+# graph6 lines decoded and solved together: one scan chunk, one analyze batch
+CHUNK = 4096
 
 
 def _g6_groups(records) -> tuple[dict[int, tuple], list[tuple[int, str]]]:

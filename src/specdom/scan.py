@@ -1,6 +1,6 @@
 """Bulk scanning of graph streams against spectral bounds.
 
-This module only chunks the input, calls ``spectra.verify_rows`` and
+This module only chunks the input, calls ``spectra.verdicts`` and
 assembles events: the edge-bit order and the graph6 batch reader belong
 to ``graphs``, and the Laplacian and the margins to ``spectra``.
 
@@ -11,11 +11,11 @@ one newline-joined text blob.  At most 2 x jobs chunks are in flight at
 once (one worker unless the caller asks for more), so memory does not
 grow with the input.  A record in a chunk is keyed once, by its line
 offset, and events and errors are numbered from that key.  Every chunk is
-processed by the same batched path (``spectra.verify_rows``: per stack
+processed by the same batched path (``spectra.verdicts``: per stack
 of at most 2^20 matrix entries, ``spectra.laplacians`` on the edge-bit
 rows, one batched LAPACK eigvalsh, exact integer bounds and the margin
-rows bound - prefix), each record's worst k and margin are read straight
-off its margin rows, and chunk results are reassembled in input order.
+rows bound - prefix), each record's worst k and margin are read off the
+stack's ``Verdicts``, and chunk results are reassembled in input order.
 The summary is therefore byte-identical whatever the worker count; wall
 time (from the first line read) and worker count are reported separately
 and never enter the deterministic payload.
@@ -37,9 +37,9 @@ call.
 
 Inside ``verify``, a record that some check flags as a violation is
 confirmed once, all its checks together: the flagged records of a stack
-are re-solved in one batch by the Jacobi confirmer at a 100x tighter
-tolerance, and every check of such a record reads its margin from that
-spectrum.  Margins that land back inside the tolerance are demoted to
+are re-solved by the Jacobi confirmer at a 100x tighter tolerance, one
+matrix at a time, and every check of such a record reads its margin from
+that spectrum.  Margins that land back inside the tolerance are demoted to
 near-equality events.
 """
 
@@ -55,10 +55,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import _g6_groups, bit_rows, encode_graph6_batch
-from .spectra import CHECKS, DEFAULT_TOL, NEAR_EQUALITY, verify_rows
+from .graphs import CHUNK, _g6_groups, bit_rows, encode_graph6_batch
+from .spectra import CHECKS, DEFAULT_TOL, NEAR_EQUALITY, verdicts
 
-CHUNK = 4096
 NEAR_CAP = 10000
 GEN_ALL_MAX = 7
 
@@ -159,13 +158,12 @@ def _scan_chunk(payload) -> tuple[int, tuple[np.ndarray, ...], list]:
     found = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0),)]
     for n, (pos, rows) in sorted(groups.items()):
         records += len(pos)
-        for part, (*_, margins) in verify_rows(n, rows, checks, tol):
+        for v in verdicts(n, rows, checks, tol):
             for ci, check in enumerate(checks):
-                idx = margins[check].argmin(axis=1)
-                low = margins[check][np.arange(len(idx)), idx]
+                low = v.min_margin[check]
                 hit = np.flatnonzero((low < -tol) | (low < NEAR_EQUALITY))
-                found.append((pos[part][hit], np.full(len(hit), ci), idx[hit] + 1,
-                              low[hit]))
+                found.append((pos[v.part][hit], np.full(len(hit), ci),
+                              v.worst_k[check][hit], low[hit]))
     pos, check, k, margin = (np.concatenate(col) for col in zip(*found))
     order = np.lexsort((check, pos))
     margin = margin[order]

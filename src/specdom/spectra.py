@@ -9,8 +9,8 @@ Every first solve is LAPACK's symmetric eigensolver (numpy.linalg.eigvalsh).
 The confirmer of flagged margins is a different algorithm: a cyclic Jacobi
 iteration, sweeps of plane rotations in a fixed pivot order until the
 off-diagonal Frobenius norm drops below off_tol * (1 + ||A||_F), with a
-hard failure after 64 sweeps.  Jacobi runs the same pivot schedule across
-a stack of matrices at once; a single matrix is the stack of one.
+hard failure after 64 sweeps.  Jacobi works on one matrix at a time; a
+stack is solved matrix by matrix, so each row is its matrix's own result.
 
 Three prefix-sum bounds are checked against the spectrum, with
 compensated summation on the eigenvalue side and exact integers on the
@@ -25,13 +25,13 @@ batch of one: ``bound_rows`` writes the three bounds as exact integer
 rows, ``solve`` is the only eigensolve, and ``verify`` solves a stack,
 bounds every row, re-solves the rows some check flags by the Jacobi
 confirmer at a 100x tighter tolerance before a violation is believed,
-and returns the margin rows bound - prefix.  ``verify_rows`` runs it on
+and returns the margin rows bound - prefix.  ``verdicts`` runs it on
 edge-bit rows a stack of at most STACK_ENTRIES matrix entries at a time,
-so memory does not grow with the number of rows.  Every verdict reads
-the margin rows: the scan takes each record's worst k and margin from
-them, and ``Verdicts`` reads one record's verdicts, or its CheckReports,
-off a stack's rows for the dominance reports and ``check_gmb`` and
-``check_brouwer``.
+so memory does not grow with the number of rows, and yields one
+``Verdicts`` per stack.  A margin row becomes a verdict in one place:
+``Verdicts`` reads each record's worst k and smallest margin per check
+off the stack's rows once, and the scan's events, the dominance reports,
+``check_gmb`` and ``check_brouwer`` all read them there.
 """
 
 from __future__ import annotations
@@ -90,29 +90,10 @@ def jacobi_eigenvalues(matrix, *, off_tol: float = OFF_TOL,
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"need a square matrix, got shape {a.shape}")
-    return jacobi_eigenvalues_batch(a[None], off_tol=off_tol, max_sweeps=max_sweeps)[0]
-
-
-def jacobi_eigenvalues_batch(matrices, *, off_tol: float = OFF_TOL,
-                             max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
-    """Eigenvalues of a (B, n, n) stack of symmetric matrices, each row of
-    the (B, n) result sorted descending.
-
-    Runs one cyclic pivot schedule on every matrix at once.  A matrix
-    whose own off-diagonal norm meets its target takes no more rotations,
-    so each row comes out as it would from the stack of one, up to the
-    sign of a zero.
-    """
-    a = np.array(matrices, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"need a (B, n, n) stack, got shape {a.shape}")
-    nmat, n = a.shape[0], a.shape[1]
-    if nmat == 0:
-        return np.zeros((0, n))
-    if n == 1:
-        return a[:, :, 0].copy()
-    norms = np.sqrt((a * a).sum(axis=(1, 2)))
-    target = off_tol * (1.0 + norms)
+    n = a.shape[0]
+    if n <= 1:
+        return a.diagonal().copy()
+    target = off_tol * (1.0 + math.sqrt((a * a).sum()))
     # a rotation is skipped when its pivot is already this small; the
     # skipped mass stays safely below the convergence target
     skip = target / (2.0 * n)
@@ -121,43 +102,44 @@ def jacobi_eigenvalues_batch(matrices, *, off_tol: float = OFF_TOL,
         # summed directly off a diagonal-zeroed copy: subtracting the
         # diagonal mass from the full norm cancels below the target
         off = a.copy()
-        np.einsum("bii->bi", off)[:] = 0.0
-        off2 = (off * off).sum(axis=(1, 2))
-        live = off2 > target * target
-        if not bool(live.any()):
-            diag = np.einsum("bii->bi", a)
-            return np.sort(diag, axis=1)[:, ::-1].copy()
+        np.fill_diagonal(off, 0.0)
+        off2 = (off * off).sum()
+        if not off2 > target * target:
+            return np.sort(a.diagonal())[::-1].copy()
         if sweep == max_sweeps:
-            w = int(np.argmax(off2 - target * target))
             raise JacobiConvergenceError(
-                f"{int(live.sum())} of {nmat} matrices above target "
-                f"after {max_sweeps} sweeps, worst off-diagonal norm "
-                f"{math.sqrt(off2[w]):.3e} above {target[w]:.3e} (n={n})")
+                f"off-diagonal norm {math.sqrt(off2):.3e} above {target:.3e} "
+                f"after {max_sweeps} sweeps (n={n})")
         for p, q in pairs:
-            apq = a[:, p, q]
-            active = live & (np.abs(apq) > skip)
-            if not bool(active.any()):
+            apq = a.item(p, q)
+            if abs(apq) <= skip:
                 continue
-            theta = (a[:, q, q] - a[:, p, p]) / np.where(active, 2.0 * apq, 1.0)
+            theta = (a.item(q, q) - a.item(p, p)) / (2.0 * apq)
             # |theta| + root never cancels, so both signs share one branch
-            denom = np.abs(theta) + np.sqrt(theta * theta + 1.0)
-            t = np.where(theta >= 0.0, 1.0, -1.0) / denom
-            t = np.where(active, t, 0.0)
-            c = 1.0 / np.sqrt(t * t + 1.0)
+            t = (1.0 if theta >= 0.0 else -1.0) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+            c = 1.0 / math.sqrt(t * t + 1.0)
             s = t * c
-            cc = c[:, None]
-            ss = s[:, None]
-            rp = a[:, p, :].copy()
-            rq = a[:, q, :].copy()
-            a[:, p, :] = cc * rp - ss * rq
-            a[:, q, :] = ss * rp + cc * rq
-            cp = a[:, :, p].copy()
-            cq = a[:, :, q].copy()
-            a[:, :, p] = cc * cp - ss * cq
-            a[:, :, q] = ss * cp + cc * cq
-            a[:, p, q] = np.where(active, 0.0, a[:, p, q])
-            a[:, q, p] = np.where(active, 0.0, a[:, q, p])
+            rp, rq = a[p].copy(), a[q].copy()
+            a[p] = c * rp - s * rq
+            a[q] = s * rp + c * rq
+            cp, cq = a[:, p].copy(), a[:, q].copy()
+            a[:, p] = c * cp - s * cq
+            a[:, q] = s * cp + c * cq
+            a[p, q] = a[q, p] = 0.0
     raise AssertionError("unreachable")
+
+
+def jacobi_eigenvalues_batch(matrices, *, off_tol: float = OFF_TOL,
+                             max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
+    """Eigenvalues of a (B, n, n) stack of symmetric matrices: row i of the
+    (B, n) result is ``jacobi_eigenvalues`` of matrix i."""
+    a = np.array(matrices, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"need a (B, n, n) stack, got shape {a.shape}")
+    out = np.zeros(a.shape[:2])
+    for i, matrix in enumerate(a):
+        out[i] = jacobi_eigenvalues(matrix, off_tol=off_tol, max_sweeps=max_sweeps)
+    return out
 
 
 def kahan_cumsum(mat: np.ndarray) -> np.ndarray:
@@ -361,40 +343,38 @@ class CheckReport:
     near_ks: tuple[int, ...]
 
 
-def verify_rows(n: int, rows: np.ndarray, checks, tol: float) -> Iterator[tuple]:
-    """``verify`` of the Laplacians of (B, P) edge-bit rows on n nodes, a
-    stack of at most STACK_ENTRIES matrix entries (one matrix at least) at
-    a time, so memory does not grow with B: yields (rows slice, verify's
-    four results) in row order."""
-    step = max(1, STACK_ENTRIES // (n * n))
-    for start in range(0, len(rows), step):
-        part = slice(start, start + step)
-        yield part, verify(laplacians(n, rows[part]), checks, tol)
-
-
 class Verdicts:
     """Prefix-sum verdicts of one stack of B graphs on n nodes.
 
-    Holds ``verify``'s spectra, prefix sums, bound and margin rows;
+    ``part`` is the stack's slice of the rows given to ``verdicts``.  Holds
+    ``verify``'s spectra, prefix sums, bound and margin rows, and, per
+    check, each record's worst k (its first smallest margin) and that
+    margin, the one reading of a margin row that every verdict shares;
     ``spectrum``, ``check`` and ``near`` read one record's values off
     them, and ``check_report`` its full CheckReport.
     """
 
-    def __init__(self, n: int, rows: np.ndarray, result: tuple, tol: float):
-        self.n, self.tol = n, tol
-        eigs, self.prefix, self.bounds, self.margins = result
+    def __init__(self, n: int, rows: np.ndarray, part: slice, checks, tol: float):
+        self.n, self.part, self.tol = n, part, tol
+        self.eigs, self.prefix, self.bounds, self.margins = verify(
+            laplacians(n, rows), checks, tol)
         self.m = rows.sum(axis=1, dtype=np.int64).tolist()
-        self.values = eigs.tolist()
+        self.worst_k, self.min_margin = {}, {}
+        for check, row in self.margins.items():
+            worst = row.argmin(axis=1)
+            self.worst_k[check] = worst + 1
+            self.min_margin[check] = row[np.arange(len(worst)), worst]
 
     def __len__(self) -> int:
         return len(self.m)
 
     def spectrum(self, i: int) -> Spectrum:
-        return Spectrum(tuple(self.values[i]), self.n, self.m[i])
+        return Spectrum(tuple(self.eigs[i].tolist()), self.n, self.m[i])
 
     def check(self, i: int, check: str) -> tuple[bool, int, float]:
         """(holds, worst k, smallest margin) of record i."""
-        return _verdict(self.margins[check][i].tolist(), self.tol)
+        low = self.min_margin[check].item(i)
+        return low >= -self.tol, self.worst_k[check].item(i), low
 
     def near(self, i: int, check: str) -> tuple[int, ...]:
         """The ks where record i's margin is below the near-equality window."""
@@ -409,15 +389,8 @@ class Verdicts:
                      else [None] * n)
         entries = tuple(map(KEntry, range(1, n + 1), self.prefix[i].tolist(),
                             self.bounds[check][i].astype(float).tolist(), row, effective))
-        return CheckReport(check, n, self.m[i], self.tol, entries, *_verdict(row, self.tol),
+        return CheckReport(check, n, self.m[i], self.tol, entries, *self.check(i, check),
                            _near(row))
-
-
-def _verdict(row: list[float], tol: float) -> tuple[bool, int, float]:
-    """(holds, worst k, smallest margin) of a margin row; the worst k is
-    the first smallest margin."""
-    low = min(row)
-    return low >= -tol, row.index(low) + 1, low
 
 
 def _near(row: list[float]) -> tuple[int, ...]:
@@ -425,10 +398,13 @@ def _near(row: list[float]) -> tuple[int, ...]:
 
 
 def verdicts(n: int, rows: np.ndarray, checks, tol: float) -> Iterator[Verdicts]:
-    """``Verdicts`` of (B, P) edge-bit rows on n nodes, one capped stack of
-    ``verify_rows`` at a time, in row order."""
-    for part, result in verify_rows(n, rows, checks, tol):
-        yield Verdicts(n, rows[part], result, tol)
+    """``Verdicts`` of (B, P) edge-bit rows on n nodes, in row order, a
+    stack of at most STACK_ENTRIES matrix entries (one matrix at least) at
+    a time, so memory does not grow with B."""
+    step = max(1, STACK_ENTRIES // (n * n))
+    for start in range(0, len(rows), step):
+        part = slice(start, start + step)
+        yield Verdicts(n, rows[part], part, checks, tol)
 
 
 def _one(g: Graph, check: str, tol: float) -> CheckReport:

@@ -2,11 +2,11 @@
 
 ``analyze`` decodes its whole input before it writes anything, so a bad
 record leaves stdout empty.  graph6 lines are decoded in batches of
-BATCH lines by ``graphs._g6_groups`` and kept as packed bit rows; an
-edge-list file is one graph.  Each batch's n-groups then go through
-``dominance.report_rows``, and every record is written, in input order,
-as soon as it is read off its stack's arrays.  No report object, dict or
-output string outlives its record.
+``graphs.CHUNK`` lines by ``graphs._g6_groups`` and kept as packed bit
+rows; an edge-list file is one graph.  Each batch's n-groups then go
+through ``dominance.report_rows``, and every record is written, in input
+order, as soon as it is read off its stack's arrays.  No report object,
+dict or output string outlives its record.
 
 JSON is laid out here rather than by ``json.dumps(..., indent=2)`` of the
 whole payload, with the same bytes: ``json_object`` and ``json_list``
@@ -28,11 +28,8 @@ import numpy as np
 
 from .builders import format_threshold
 from .dominance import ReportRow, _constructive_witnesses, report_rows
-from .graphs import Graph, Graph6Error, _g6_groups, bit_rows, encode_graph6
+from .graphs import CHUNK, Graph, Graph6Error, _g6_groups, bit_rows, encode_graph6
 from .spectra import CHECKS
-
-# graph6 lines decoded and solved together
-BATCH = 4096
 
 
 def _fmt(x: float) -> str:
@@ -89,8 +86,8 @@ def _decode(parsed: Graph | list[str]) -> tuple[list[str], list[dict]]:
         packed = np.packbits(bit_rows(g.n, [g.bits]), axis=1)
         return [encode_graph6(g)], [{g.n: (np.zeros(1, np.int64), packed)}]
     batches = []
-    for start in range(0, len(parsed), BATCH):
-        stop = min(start + BATCH, len(parsed))
+    for start in range(0, len(parsed), CHUNK):
+        stop = min(start + CHUNK, len(parsed))
         groups, errors = _g6_groups((i, parsed[i]) for i in range(start, stop) if parsed[i])
         if errors:
             line, message = errors[0]

@@ -169,6 +169,27 @@ class TestGraph6Errors:
         assert str(err.value) == "byte 0: n=5 exceeds the 4-node limit"
         assert decode_graph6("Dhc", max_n=5).n == 5
 
+    @pytest.mark.parametrize("record, max_n", [
+        ("", None),        # empty record
+        ("B#", None),      # character outside 63..126
+        ("~??", None),     # truncated 4-byte size header
+        ("~~???", None),   # truncated 8-byte size header
+        ("D?", 4),         # node limit
+        ("?", None),       # node count 0
+        ("Bw?", None),     # body length
+        ("Dhd", None),     # nonzero padding
+    ])
+    def test_prefix_counts_in_offsets(self, record, max_n):
+        def fault(text):
+            with pytest.raises(Graph6Error) as err:
+                decode_graph6(text, max_n)
+            offset, rest = str(err.value).split(":", 1)
+            assert offset.startswith("byte ")
+            return int(offset[5:]), rest
+
+        offset, rest = fault(record)
+        assert fault(">>graph6<<" + record) == (offset + 10, rest)
+
 
 class TestGraph6RoundTrip:
     def test_exhaustive_small(self):

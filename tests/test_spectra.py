@@ -5,6 +5,7 @@ Jacobi solver is the confirmer it is checked against, and Jacobi itself
 must agree with eigvalsh without ever calling it.
 """
 
+import hashlib
 import math
 import random
 
@@ -18,7 +19,8 @@ from specdom import (Spectrum, check_brouwer, check_gmb, cycle_spectrum,
 from specdom.graphs import (Graph, complete, complete_plus_isolated, cycle,
                             decode_graph6)
 from specdom.partitions import conjugate_counts
-from specdom.spectra import JacobiConvergenceError, bound_rows, kahan_cumsum
+from specdom.spectra import (CONFIRM_TOL, JacobiConvergenceError, bound_rows,
+                             kahan_cumsum)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -80,6 +82,35 @@ class TestJacobi:
         for row, m in zip(together, (a, mate)):
             assert row.tobytes() == jacobi_eigenvalues_batch(m[None])[0].tobytes()
         assert together[0].tolist() == [5.0, 2.0, 2.0]
+
+    def test_confirmer_bytes_pinned(self):
+        # every labelled graph with n <= 5, then 100 random graphs with n up
+        # to 40 one at a time and again as one stack per n, at the confirm
+        # tolerance.  A stacked row is hashed with its zeros made positive:
+        # a zero's sign is no part of a spectrum, as solve snaps it to +0.0.
+        digests = []
+        h = hashlib.sha256()
+        for n in range(1, 6):
+            for bits in range(1 << (n * (n - 1) // 2)):
+                lap = laplacian(Graph(n, bits))[None]
+                h.update(jacobi_eigenvalues_batch(lap, off_tol=CONFIRM_TOL).tobytes())
+        digests.append(h.hexdigest())
+        rng = random.Random(2718)
+        laps = [laplacian(random_graph(rng, rng.randint(2, 40))) for _ in range(100)]
+        h = hashlib.sha256()
+        for lap in laps:
+            h.update(jacobi_eigenvalues_batch(lap[None], off_tol=CONFIRM_TOL).tobytes())
+        digests.append(h.hexdigest())
+        h = hashlib.sha256()
+        for n in sorted({len(lap) for lap in laps}):
+            stack = np.stack([lap for lap in laps if len(lap) == n])
+            h.update((jacobi_eigenvalues_batch(stack, off_tol=CONFIRM_TOL) + 0.0).tobytes())
+        digests.append(h.hexdigest())
+        assert digests == [
+            "278f786dc7b74f3f8789fb42aac8ddd31c260bd973d9c6f65527af08034d4813",
+            "fc2734fea0b38d0432133fa3ef754bc55ac47781cc4a8ab4566002bdee758c05",
+            "5daea2b4452f79dcfe65a71d28b541495aeb720aea9f83480f8e8082a5289a27",
+        ]
 
     def test_zero_sweep_budget_raises(self):
         a = laplacian(cycle(5))
