@@ -12,9 +12,13 @@ dominators for split graphs and cycles, pineapples, and merges that add
 diagrams columnwise.
 
 Threshold graphs are enumerated by edge count: ``threshold_columns``
-yields one edge count's columns lazily, and the enumeration text is
-joined instead from suffix blocks, which depend only on (rest, cap);
-blocks with cap <= 14 stay cached (about 0.5 MB).
+yields one edge count's columns lazily, and the enumeration text is made
+instead from suffix blocks, the newline-led lines " c1 c2 ..." of the
+partitions of a rest into distinct parts <= cap.  Blocks with cap <= 14
+stay cached (about 0.5 MB).  Above the cache the recursion only lengthens
+a head such as "20: 19 17", and each cached block is emitted once under
+its head by one str.replace, so every output byte is written by one
+replace and one join per edge count.
 """
 
 from __future__ import annotations
@@ -187,65 +191,87 @@ def threshold_columns(n: int, m: int) -> Iterator[tuple[int, ...]]:
         del parts[j:]
 
 
-# Suffix blocks with cap <= 14 stay cached: at n = 20 that is 469 blocks,
-# about 0.55 MB.  Caching every cap held 24.6 MB there; the few blocks with
-# a larger cap are rebuilt on each call instead.
+# Blocks with cap <= 14 stay cached: at n = 20 that is 470 blocks, about
+# 0.55 MB.  Caching every cap held 24.6 MB there; above the cache only
+# heads are built.  The block of rest 0 is the one empty line.
 _BLOCK_CACHE_CAP = 14
-_blocks: dict[tuple[int, int], str] = {}
-
-
-def _prefix_lines(head: str, block: str) -> str:
-    """``head`` put in front of every line of a nonempty block."""
-    return head + block[:-1].replace("\n", "\n" + head) + "\n"
+_blocks: dict[tuple[int, int], str] = {(0, 0): "\n"}
 
 
 def _column_block(rest: int, cap: int) -> str:
-    """Lines " c1 c2 ..." of the partitions of rest into distinct parts
-    <= cap, in descending lexicographic order; "\n" alone for rest 0.
-
-    A line with first part c continues with a line of the block
-    (rest - c, c - 1), so every block is a join of prefixed smaller ones.
-    """
-    if rest == 0:
-        return "\n"
-    cap = min(cap, rest)
-    key = (rest, cap)
-    block = _blocks.get(key)
+    """``_column_pieces`` of (rest, cap) with no head, as one cached block,
+    for cap <= min(rest, 14)."""
+    block = _blocks.get((rest, cap))
     if block is None:
+        out: list[str] = []
         c = cap
-        out = []
         while rest <= c * (c + 1) // 2:
-            out.append(_prefix_lines(f" {c}", _column_block(rest - c, c - 1)))
+            _column_pieces(rest - c, c - 1, f" {c}", out)
             c -= 1
-        block = "".join(out)
-        if cap <= _BLOCK_CACHE_CAP:
-            _blocks[key] = block
+        block = _blocks[rest, cap] = "".join(out)
     return block
 
 
-def _column_lines(n: int, m: int) -> str:
+def _column_pieces(rest: int, cap: int, head: str, out: list[str]) -> None:
+    """Append to ``out`` the lines head + " c1 c2 ...", each led by its
+    newline, of the partitions of rest into distinct parts <= cap, in
+    descending lexicographic order.
+
+    A line with first part c goes on with a line of (rest - c, c - 1).
+    Above the cache that only lengthens the head; a cached block is put
+    under its head by one replace.
+    """
+    cap = min(cap, rest)
+    if cap <= _BLOCK_CACHE_CAP:
+        block = _column_block(rest, cap)
+        out.append(block.replace("\n", "\n" + head) if head else block)
+        return
+    c = cap
+    while rest <= c * (c + 1) // 2:
+        _column_pieces(rest - c, c - 1, f"{head} {c}", out)
+        c -= 1
+
+
+def _column_lines(n: int, m: int, head: str) -> list[str]:
     """The columns of every threshold graph on n nodes with m edges as
-    lines " c1 c2 ...", in ``threshold_columns`` order."""
+    lines head + " c1 c2 ...", each led by its newline, in
+    ``threshold_columns`` order, in a few pieces."""
     _check_edge_count(n, m)
-    return _column_block(m, n - 1)
+    out: list[str] = []
+    _column_pieces(m, n - 1, head, out)
+    return out
+
+
+def _threshold_text(n: int, ms: Iterable[int]) -> Iterator[str]:
+    """``format_threshold`` of every record on n nodes with an edge count
+    in ``ms``, as one string per edge count.  The strings join to the
+    records' lines with a newline between each two and none at the end."""
+    lead = 1
+    for m in ms:
+        pieces = _column_lines(n, m, f"{n}:")
+        # the text's one leading newline is dropped from its first piece
+        pieces[0] = pieces[0][lead:]
+        lead = 0
+        yield "".join(pieces)
 
 
 def _threshold_lines(n: int, m: int) -> str:
     """``format_threshold`` of every ``threshold_columns(n, m)`` record,
-    one per line, built from cached suffix blocks at C speed."""
-    return _prefix_lines(f"{n}:", _column_lines(n, m))
+    one per line."""
+    return next(_threshold_text(n, (m,))) + "\n"
 
 
 def _json_records(n: int, m: int) -> str:
     """The column lists of every threshold graph on n nodes with m edges
     as ``json.dumps(..., indent=2)`` writes them inside the top-level
-    "records" array, made from the " c1 c2 ..." lines by str.replace."""
-    lines = _column_lines(n, m)[:-1]
-    if not lines:
+    "records" array, made from the newline-led " c1 c2 ..." lines by
+    str.replace."""
+    lines = "".join(_column_lines(n, m, ""))
+    if m == 0:
         return "    []"
-    # each " c" opens an item; a line's first item follows its "\n"
+    # each " c" opens an item and each "\n" a list, closing the one before
     body = lines.replace(" ", ",\n      ").replace("\n,", "\n    ],\n    [")
-    return "    [" + body[1:] + "\n    ]"
+    return body[len("\n    ],\n"):] + "\n    ]"
 
 
 @lru_cache(maxsize=None)
@@ -394,17 +420,21 @@ def brouwer_extremal_plan(n: int, m: int, k: int) -> ExtremalPlan:
 def brouwer_extremal(n: int, m: int, k: int) -> ThresholdGraph:
     """Threshold graph on n nodes and m edges whose first k eigenvalues sum
     to min(k*n, m + k(k+1)/2, 2m), the largest value any graph attains."""
-    plan = brouwer_extremal_plan(n, m, k)
+    return ThresholdGraph(n, _extremal_cols(n, m, k, brouwer_extremal_plan(n, m, k)))
+
+
+def _extremal_cols(n: int, m: int, k: int, plan: ExtremalPlan) -> tuple[int, ...]:
+    """Columns of ``brouwer_extremal(n, m, k)`` from its plan; in cases 1
+    and 3 they depend on (n, m) alone."""
     if plan.case == 1:
-        return ThresholdGraph(n, _case1_cols(n, m))
+        return _case1_cols(n, m)
     h, r = plan.h, plan.r
     if plan.case == 2:
         conj = [h + 1] * r + [h] * (k - r)
     else:
         # at m = 0 this is [0], which leaves no column
         conj = [h + 2] * r + [h + 1] * (h - r) + [r]
-    cols = [conj[i] - (i + 1) for i in range(len(conj)) if conj[i] - (i + 1) > 0]
-    return ThresholdGraph(n, cols)
+    return tuple(conj[i] - (i + 1) for i in range(len(conj)) if conj[i] - (i + 1) > 0)
 
 
 def union_merge(parts: Iterable[ThresholdGraph]) -> ThresholdGraph:

@@ -30,9 +30,9 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator
 
-from .builders import (ThresholdGraph, brouwer_extremal, brouwer_extremal_plan,
-                       format_threshold, threshold_columns, threshold_count,
-                       threshold_spectrum)
+from .builders import (ThresholdGraph, _extremal_cols, brouwer_extremal,
+                       brouwer_extremal_plan, format_threshold, threshold_columns,
+                       threshold_count, threshold_spectrum)
 from .graphs import Graph, bit_rows, encode_graph6
 from .spectra import (CHECKS, DEFAULT_TOL, CheckReport, Spectrum, Verdicts,
                       energy_count, laplacian, laplacian_energy, verdicts, verify)
@@ -127,18 +127,27 @@ def _formula_bounds(n: int, m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=4096)
 def _constructive_witnesses(n: int, m: int) -> tuple[DominanceWitness, ...]:
-    """Extremal witness per k, with prefix sums checked against the formula."""
-    formula = _formula_bounds(n, m)
+    """Extremal witness per k, with prefix sums checked against the formula.
+
+    Each k takes one plan.  Case 1 and case 3 witnesses depend on (n, m)
+    alone, so each is built as a ThresholdGraph, and so validated, once.
+    """
+    built: dict = {}
     out = []
     for k in range(1, n + 1):
-        t = brouwer_extremal(n, m, k)
-        pref = t.spectrum_prefix()[k - 1]
-        if pref != formula[k - 1]:
+        plan = brouwer_extremal_plan(n, m, k)
+        key = (2, k) if plan.case == 2 else plan.case
+        if key not in built:
+            t = ThresholdGraph(n, _extremal_cols(n, m, k, plan))
+            built[key] = t.cols, t.spectrum_prefix()
+        cols, prefix = built[key]
+        pref = prefix[k - 1]
+        if pref != plan.bound:
             raise AssertionError(
                 f"extremal threshold graph reaches {pref} at k={k}, "
-                f"formula says {formula[k - 1]} (n={n}, m={m})"
+                f"formula says {plan.bound} (n={n}, m={m})"
             )
-        out.append(DominanceWitness(k, t.cols, pref))
+        out.append(DominanceWitness(k, cols, pref))
     return tuple(out)
 
 

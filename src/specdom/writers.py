@@ -10,8 +10,8 @@ dict or output string outlives its record.
 
 JSON is laid out here rather than by ``json.dumps(..., indent=2)`` of the
 whole payload, with the same bytes: ``json_object`` and ``json_list``
-nest value texts that are already laid out, and ``write_array`` writes
-an array one item at a time.  Only ``analyze`` and ``search --json`` load
+nest value texts that are already laid out, and ``array_texts`` lays
+out an array one item at a time.  Only ``analyze`` and ``search --json`` load
 this module.
 """
 
@@ -22,7 +22,7 @@ import heapq
 from functools import lru_cache
 from operator import itemgetter
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable, Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -65,14 +65,14 @@ def json_object(fields: list[tuple[str, str]], depth: int) -> str:
             + pad[:-2] + "}")
 
 
-def write_array(write: Callable[[str], object], items: Iterable[str], depth: int) -> None:
-    """``json_list`` written one item at a time."""
+def array_texts(items: Iterable[str], depth: int) -> Iterator[str]:
+    """``json_list`` in pieces: one per item, then the closing bracket."""
     pad = "\n" + "  " * (depth + 1)
     sep = "[" + pad
     for item in items:
-        write(sep + item)
+        yield sep + item
         sep = "," + pad
-    write("[]" if sep[0] == "[" else pad[:-2] + "]")
+    yield "[]" if sep[0] == "[" else pad[:-2] + "]"
 
 
 # analyze --------------------------------------------------------------------
@@ -199,7 +199,7 @@ def write_reports(parsed: Graph | list[str], out, fmt: str, tol: float) -> None:
     ids, batches = _decode(parsed)
     records = ((ids[key], row) for batch in batches for key, row in _rows(batch, tol))
     if fmt == "json":
-        write_array(out.write, (_report_json(rid, row) for rid, row in records), 0)
+        out.writelines(array_texts((_report_json(rid, row) for rid, row in records), 0))
         out.write("\n")
     elif fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -220,16 +220,16 @@ def _event_json(e) -> str:
                         ("k", str(e.k)), ("margin", _jfloat(e.margin))], 2)
 
 
-def write_summary_json(write: Callable[[str], object], summary) -> None:
+def summary_json(summary) -> Iterator[str]:
     """A ScanSummary as json.dumps(indent=2) of its JSON form plus a
-    newline, each listed event and error written on its own."""
+    newline, in pieces: each listed event and error is one."""
     checks = json_list([_json_str(c) for c in summary.checks], 1)
-    write(f'{{\n  "records": {summary.records},\n  "checks": {checks},\n  "violations": ')
-    write_array(write, map(_event_json, summary.violations), 1)
-    write(f',\n  "near_equality_count": {summary.near_count},\n  "near_equality": ')
-    write_array(write, map(_event_json, summary.near), 1)
-    write(',\n  "errors": ')
-    errors = (json_object([("line", str(e.line)), ("message", _json_str(e.message))], 2)
-              for e in summary.errors)
-    write_array(write, errors, 1)
-    write("\n}\n")
+    yield f'{{\n  "records": {summary.records},\n  "checks": {checks},\n  "violations": '
+    yield from array_texts(map(_event_json, summary.violations), 1)
+    yield f',\n  "near_equality_count": {summary.near_count},\n  "near_equality": '
+    yield from array_texts(map(_event_json, summary.near), 1)
+    yield ',\n  "errors": '
+    yield from array_texts((json_object([("line", str(e.line)),
+                                         ("message", _json_str(e.message))], 2)
+                            for e in summary.errors), 1)
+    yield "\n}\n"

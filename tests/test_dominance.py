@@ -1,6 +1,7 @@
 """Dominance reports, enumeration, the oracle table, and energy search."""
 
 import itertools
+import json
 import math
 import random
 import sys
@@ -12,7 +13,7 @@ from specdom import (BrouwerViolationError, ThresholdGraph, energy_witness,
                      std_oracle, threshold_columns, threshold_count,
                      threshold_energy)
 from specdom import builders, dominance, spectra
-from specdom.builders import format_threshold, threshold_spectrum
+from specdom.builders import brouwer_extremal, format_threshold, threshold_spectrum
 from specdom.cli import main
 from specdom.graphs import (Graph, complete_plus_isolated, cycle,
                             from_edge_list)
@@ -21,6 +22,12 @@ from specdom.partitions import conjugate_counts
 
 def effective_bound(n, m, k):
     return min(k * n, m + k * (k + 1) // 2, 2 * m)
+
+
+def sampled_edge_counts(n):
+    """0, 1, n - 1, n, M/4, M/2, 3M/4, M - 1 and M for M = n(n-1)/2."""
+    top = n * (n - 1) // 2
+    return sorted({0, 1, n - 1, n, top // 4, top // 2, 3 * top // 4, top - 1, top})
 
 
 class TestEnumeration:
@@ -72,6 +79,25 @@ class TestEnumeration:
             for m in range(n * (n - 1) // 2 + 1):
                 assert builders._threshold_lines(n, m) == "".join(
                     format_threshold(n, c) + "\n"
+                    for c in threshold_columns(n, m)), (n, m)
+
+    def test_uncached_blocks_equal_per_record_lines(self):
+        # from n = 16 on, first columns above the block cache's cap of 14
+        # only lengthen the head; every m for n 15..18, sampled m for n 19
+        # and 20
+        cases = [(n, m) for n in range(15, 19) for m in range(n * (n - 1) // 2 + 1)]
+        cases += [(n, m) for n in (19, 20) for m in sampled_edge_counts(n)]
+        for n, m in cases:
+            assert builders._threshold_lines(n, m) == "".join(
+                format_threshold(n, c) + "\n"
+                for c in threshold_columns(n, m)), (n, m)
+
+    def test_uncached_json_records_equal_dumps(self):
+        for n in range(15, 18):
+            for m in sampled_edge_counts(n):
+                # each record as an item of the top-level "records" array
+                assert builders._json_records(n, m) == ",\n".join(
+                    "    " + json.dumps(list(c), indent=2).replace("\n", "\n    ")
                     for c in threshold_columns(n, m)), (n, m)
 
     @pytest.mark.parametrize("n, m", [(0, 0), (4, 7), (4, -1)])
@@ -138,6 +164,14 @@ class TestStdReports:
         rep = std_constructive(t.realize())
         assert rep.std.holds
         assert abs(rep.std.min_margin) < 1e-9
+
+    def test_witnesses_are_the_extremal_graphs(self):
+        for n in range(1, 13):
+            for m in range(n * (n - 1) // 2 + 1):
+                assert dominance._constructive_witnesses(n, m) == tuple(
+                    dominance.DominanceWitness(k, brouwer_extremal(n, m, k).cols,
+                                               effective_bound(n, m, k))
+                    for k in range(1, n + 1)), (n, m)
 
     def test_witnesses_have_matching_size(self):
         rep = std_constructive(cycle(7))
