@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import nullcontext
 from itertools import islice
@@ -62,9 +63,9 @@ def _read_text(path: str) -> str:
         return fh.read().decode("utf-8", "surrogateescape")
 
 
-def _analyze_input(text: str) -> Graph | list[str]:
-    """Parse analyze input: an edge-list file's graph, or graph6 lines,
-    stripped, one record per non-blank line.
+def _analyze_input(text: str) -> list[str]:
+    """Parse analyze input into graph6 lines, stripped, one record per
+    non-blank line; an edge-list file is the one line that encodes it.
 
     A first non-blank line of two integers means edge-list; anything else
     is treated as graph6.  A node count above MAX_N in the edge-list
@@ -76,23 +77,20 @@ def _analyze_input(text: str) -> Graph | list[str]:
         raise GraphInputError("line 1: empty input")
     fields = first.split()
     if len(fields) == 2 and all(f.lstrip("-").isdigit() for f in fields):
-        return parse_edge_list(text, MAX_N)
+        return [encode_graph6(parse_edge_list(text, MAX_N))]
     return stripped
 
 
-def _graphs_from_text(text: str) -> list[tuple[str, Graph]]:
-    """analyze-style input as (id, graph) records, decoded one line at a
-    time without numpy, as ``build split-dominator`` reads its graph; a
-    graph6 size header above MAX_N is an error before the body is read."""
-    parsed = _analyze_input(text)
-    if isinstance(parsed, Graph):
-        return [(encode_graph6(parsed), parsed)]
+def _graphs_from_text(text: str) -> list[Graph]:
+    """analyze-style input as graphs, decoded one line at a time without
+    numpy, as ``build split-dominator`` reads its graph; a graph6 size
+    header above MAX_N is an error before the body is read."""
     out = []
-    for line_no, ln in enumerate(parsed, start=1):
+    for line_no, ln in enumerate(_analyze_input(text), start=1):
         if not ln:
             continue
         try:
-            out.append((ln, decode_graph6(ln, MAX_N)))
+            out.append(decode_graph6(ln, MAX_N))
         except Graph6Error as exc:
             raise Graph6Error(f"line {line_no}: {exc}") from None
     return out
@@ -128,10 +126,10 @@ def _build_threshold(args) -> tuple[ThresholdGraph, dict | None]:
         return union_merge(parts), None
     if args.builder == "split-dominator":
         text = _read_text(args.file)
-        records = _graphs_from_text(text)
-        if len(records) != 1:
+        graphs = _graphs_from_text(text)
+        if len(graphs) != 1:
             raise GraphInputError("split-dominator expects exactly one graph")
-        return split_dominator(records[0][1], args.k), None
+        return split_dominator(graphs[0], args.k), None
     raise AssertionError(f"unhandled builder {args.builder!r}")
 
 
@@ -301,6 +299,8 @@ def main(argv=None) -> int:
     elif args.command == "search":
         from . import scan  # noqa: F401
     try:
+        if args.command in ("analyze", "search") and not math.isfinite(args.tolerance):
+            raise ValueError(f"--tolerance must be a finite number, got {args.tolerance}")
         return args.func(args)
     except BrokenPipeError:
         return 0

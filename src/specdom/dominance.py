@@ -20,7 +20,7 @@ and reads each record's spectrum, verdicts and energy witness off the
 arrays.  ``analyze`` writes its records straight from those rows, and
 ``std_constructive`` and ``std_oracle`` build a DominanceReport from the
 batch of one.  Witnesses depend only on (n, m) and are cached there; the
-energy witness is cached per (n, m, k*).
+energy witness is the table's witness at k*.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator
 
-from .builders import (ThresholdGraph, _extremal_cols, brouwer_extremal,
-                       brouwer_extremal_plan, format_threshold, threshold_columns,
-                       threshold_count, threshold_spectrum)
+from .builders import (ThresholdGraph, _extremal_cols, brouwer_extremal_plan,
+                       format_threshold, threshold_columns, threshold_count,
+                       threshold_spectrum)
 from .graphs import Graph, bit_rows, encode_graph6
 from .spectra import (CHECKS, DEFAULT_TOL, CheckReport, Spectrum, Verdicts,
-                      energy_count, laplacian, laplacian_energy, verdicts, verify)
+                      energy_count, laplacian_energy, verdicts)
 
 ENUMERATION_GUARD = 10_000_000
 
@@ -121,10 +121,6 @@ def threshold_energy(t: ThresholdGraph) -> float:
     return _scaled_energy(t.n, t.m, t.cols) / t.n
 
 
-def _formula_bounds(n: int, m: int) -> tuple[int, ...]:
-    return tuple(brouwer_extremal_plan(n, m, k).bound for k in range(1, n + 1))
-
-
 @lru_cache(maxsize=4096)
 def _constructive_witnesses(n: int, m: int) -> tuple[DominanceWitness, ...]:
     """Extremal witness per k, with prefix sums checked against the formula.
@@ -156,7 +152,8 @@ def _oracle_table(n: int, m: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...
     """Per-k maxima over all threshold graphs with (n, m), plus witnesses.
 
     Refuses when the enumeration would exceed 10^7 graphs.  The maxima
-    must match min(k*n, m + k(k+1)/2, 2m) exactly; a mismatch raises.
+    must match the constructive witnesses' prefix sums, min(k*n,
+    m + k(k+1)/2, 2m), exactly; a mismatch raises.
     """
     total = threshold_count(n, m)
     if total > ENUMERATION_GUARD:
@@ -171,28 +168,22 @@ def _oracle_table(n: int, m: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...
             if p > maxima[i]:
                 maxima[i] = p
                 witnesses[i] = cols
-    formula = _formula_bounds(n, m)
-    for k in range(1, n + 1):
-        if maxima[k - 1] != formula[k - 1]:
+    for w in _constructive_witnesses(n, m):
+        if maxima[w.k - 1] != w.prefix_sum:
             raise AssertionError(
-                f"enumerated maximum {maxima[k - 1]} at k={k} differs from "
-                f"formula {formula[k - 1]} (n={n}, m={m})"
+                f"enumerated maximum {maxima[w.k - 1]} at k={w.k} differs from "
+                f"formula {w.prefix_sum} (n={n}, m={m})"
             )
     return tuple(maxima), tuple(witnesses)
 
 
-@lru_cache(maxsize=4096)
-def _energy_witness_at(n: int, m: int, k: int) -> tuple[ThresholdGraph, float]:
-    """The prefix-extremal threshold graph at k and its Laplacian energy."""
-    t = brouwer_extremal(n, m, k)
-    return t, threshold_energy(t)
-
-
 def _energy_fields(spec: Spectrum, tol: float):
-    """Energy witness, the (graph, witness) energy pair, and whether it dominates."""
-    t, le_t = _energy_witness_at(spec.n, spec.m, max(energy_count(spec), 1))
-    le_g = laplacian_energy(spec)
-    return t, (le_g, le_t), le_t >= le_g - tol
+    """The energy witness's cols, the (graph, witness) energy pair, and
+    whether it dominates; the witness is the table's extremal graph at k*."""
+    n, m = spec.n, spec.m
+    cols = _constructive_witnesses(n, m)[max(energy_count(spec), 1) - 1].cols
+    le_g, le_t = laplacian_energy(spec), _scaled_energy(n, m, cols) / n
+    return cols, (le_g, le_t), le_t >= le_g - tol
 
 
 @dataclass(frozen=True)
@@ -203,7 +194,7 @@ class ReportRow:
     verdicts: Verdicts
     index: int
     spectrum: Spectrum
-    energy_witness: ThresholdGraph
+    energy_witness_cols: tuple[int, ...]
     energy_pair: tuple[float, float]
     energy_holds: bool
 
@@ -214,9 +205,9 @@ def report_rows(n: int, rows, tol: float) -> Iterator[ReportRow]:
 
     The one report core: each capped stack of rows takes one ``verify``
     call for all three checks, and each record is then read off the
-    stack's arrays, its Spectrum checked and its energy witness looked up
-    once per (n, m, k*).  Witnesses depend on (n, m) alone, so callers
-    take them from the per-(n, m) caches.
+    stack's arrays, its Spectrum checked and its energy witness read off
+    the witness table of its (n, m).  Witnesses depend on (n, m) alone, so
+    callers take them from the per-(n, m) caches.
     """
     for v in verdicts(n, rows, CHECKS, tol):
         for i in range(len(v)):
@@ -239,7 +230,7 @@ def _report(g: Graph, tol: float, graph_id: str | None, route: str,
         brouwer=v.check_report(0, "brouwer"),
         std=v.check_report(0, "std"),
         witnesses=witnesses,
-        energy_witness_cols=row.energy_witness.cols,
+        energy_witness_cols=row.energy_witness_cols,
         energy_pair=row.energy_pair,
         energy_holds=row.energy_holds,
         route=route,
@@ -276,13 +267,12 @@ def energy_witness(g: Graph, tol: float = DEFAULT_TOL
     energy still falls short, that contradicts prefix dominance at k* and
     raises BrouwerViolationError.
     """
-    eigs = verify(laplacian(g)[None], ("std",), tol)[0]
-    spec = Spectrum(tuple(eigs[0].tolist()), g.n, g.m)
-    t, pair, holds = _energy_fields(spec, tol)
+    spec = next(verdicts(g.n, bit_rows(g.n, [g.bits]), ("std",), tol)).spectrum(0)
+    cols, pair, holds = _energy_fields(spec, tol)
     if holds:
-        return t, pair
+        return ThresholdGraph(g.n, cols), pair
     raise BrouwerViolationError(
-        f"energy witness {t.serialize()!r} has LE {pair[1]:.12g} below the "
+        f"energy witness {format_threshold(g.n, cols)!r} has LE {pair[1]:.12g} below the "
         f"graph's {pair[0]:.12g} at k*={energy_count(spec)} (n={g.n}, m={g.m})"
     )
 

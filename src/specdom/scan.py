@@ -14,8 +14,9 @@ offset, and events and errors are numbered from that key.  Every chunk is
 processed by the same batched path (``spectra.verdicts``: per stack
 of at most 2^20 matrix entries, ``spectra.laplacians`` on the edge-bit
 rows, one batched LAPACK eigvalsh, exact integer bounds and the margin
-rows bound - prefix), each record's worst k and margin are read off the
-stack's ``Verdicts``, and chunk results are reassembled in input order.
+rows bound - prefix), each record's worst k, margin and verdict, a
+violation or a near equality, are read off the stack's ``Verdicts``, and
+chunk results are reassembled in input order.
 The summary is therefore byte-identical whatever the worker count; wall
 time (from the first line read) and worker count are reported separately
 and never enter the deterministic payload.
@@ -56,7 +57,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .graphs import CHUNK, _g6_groups, bit_rows, encode_graph6_batch
-from .spectra import CHECKS, DEFAULT_TOL, NEAR_EQUALITY, verdicts
+from .spectra import CHECKS, DEFAULT_TOL, verdicts
 
 NEAR_CAP = 10000
 GEN_ALL_MAX = 7
@@ -155,19 +156,18 @@ def _scan_chunk(payload) -> tuple[int, tuple[np.ndarray, ...], list]:
         n, start, stop = payload[3], payload[4], payload[5]
         groups, errors = {n: (np.arange(stop - start), bit_rows(n, range(start, stop)))}, []
     records = 0
-    found = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0),)]
+    found = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0), np.zeros(0, bool))]
     for n, (pos, rows) in sorted(groups.items()):
         records += len(pos)
         for v in verdicts(n, rows, checks, tol):
             for ci, check in enumerate(checks):
-                low = v.min_margin[check]
-                hit = np.flatnonzero((low < -tol) | (low < NEAR_EQUALITY))
-                found.append((pos[v.part][hit], np.full(len(hit), ci),
-                              v.worst_k[check][hit], low[hit]))
-    pos, check, k, margin = (np.concatenate(col) for col in zip(*found))
+                violated = v.violated[check]
+                hit = np.flatnonzero(violated | v.near_equal[check])
+                found.append((pos[v.part][hit], np.full(len(hit), ci), v.worst_k[check][hit],
+                              v.min_margin[check][hit], violated[hit]))
+    pos, check, k, margin, violation = (np.concatenate(col) for col in zip(*found))
     order = np.lexsort((check, pos))
-    margin = margin[order]
-    events = (pos[order], check[order], k[order], margin, margin < -tol)
+    events = tuple(col[order] for col in (pos, check, k, margin, violation))
     return records, events, errors
 
 

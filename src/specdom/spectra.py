@@ -30,7 +30,8 @@ edge-bit rows a stack of at most STACK_ENTRIES matrix entries at a time,
 so memory does not grow with the number of rows, and yields one
 ``Verdicts`` per stack.  A margin row becomes a verdict in one place:
 ``Verdicts`` reads each record's worst k and smallest margin per check
-off the stack's rows once, and the scan's events, the dominance reports,
+off the stack's rows once, and whether it is violated (below -tol) or near
+equality (below NEAR_EQUALITY); the scan's events, the dominance reports,
 ``check_gmb`` and ``check_brouwer`` all read them there.
 """
 
@@ -257,8 +258,10 @@ def verify(laps: np.ndarray, checks, tol: float
     more than ``tol`` are re-solved together by the Jacobi confirmer at
     CONFIRM_TOL, and their spectra, prefix sums and margins are replaced.
     The margins are ``bounds[check] - prefix`` for each requested check,
-    the one table every verdict reads.
+    the one table every verdict reads.  ``tol`` must be finite.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance must be a finite number, got {tol}")
     bounds = bound_rows(laps.shape[1], np.einsum("bii->bi", laps))
     eigs = solve(laps)
     prefix = kahan_cumsum(eigs)
@@ -348,10 +351,10 @@ class Verdicts:
 
     ``part`` is the stack's slice of the rows given to ``verdicts``.  Holds
     ``verify``'s spectra, prefix sums, bound and margin rows, and, per
-    check, each record's worst k (its first smallest margin) and that
-    margin, the one reading of a margin row that every verdict shares;
-    ``spectrum``, ``check`` and ``near`` read one record's values off
-    them, and ``check_report`` its full CheckReport.
+    check, each record's worst k (its first smallest margin), that margin
+    and whether it is violated or near equality, the one reading of a
+    margin row that every verdict shares; ``spectrum``, ``check``, ``near``
+    and ``check_report`` read one record's values off them.
     """
 
     def __init__(self, n: int, rows: np.ndarray, part: slice, checks, tol: float):
@@ -359,11 +362,12 @@ class Verdicts:
         self.eigs, self.prefix, self.bounds, self.margins = verify(
             laplacians(n, rows), checks, tol)
         self.m = rows.sum(axis=1, dtype=np.int64).tolist()
-        self.worst_k, self.min_margin = {}, {}
+        self.worst_k, self.min_margin, self.violated, self.near_equal = {}, {}, {}, {}
         for check, row in self.margins.items():
             worst = row.argmin(axis=1)
             self.worst_k[check] = worst + 1
-            self.min_margin[check] = row[np.arange(len(worst)), worst]
+            self.min_margin[check] = low = row[np.arange(len(worst)), worst]
+            self.violated[check], self.near_equal[check] = low < -tol, low < NEAR_EQUALITY
 
     def __len__(self) -> int:
         return len(self.m)
@@ -373,8 +377,8 @@ class Verdicts:
 
     def check(self, i: int, check: str) -> tuple[bool, int, float]:
         """(holds, worst k, smallest margin) of record i."""
-        low = self.min_margin[check].item(i)
-        return low >= -self.tol, self.worst_k[check].item(i), low
+        return (not self.violated[check].item(i), self.worst_k[check].item(i),
+                self.min_margin[check].item(i))
 
     def near(self, i: int, check: str) -> tuple[int, ...]:
         """The ks where record i's margin is below the near-equality window."""

@@ -1,12 +1,13 @@
 """Streamed writers: ``analyze``'s reports and ``search --json``.
 
 ``analyze`` decodes its whole input before it writes anything, so a bad
-record leaves stdout empty.  graph6 lines are decoded in batches of
+record leaves stdout empty.  Its input is graph6 lines (an edge-list file
+arrives as the one line that encodes it), decoded in batches of
 ``graphs.CHUNK`` lines by ``graphs._g6_groups`` and kept as packed bit
-rows; an edge-list file is one graph.  Each batch's n-groups then go
-through ``dominance.report_rows``, and every record is written, in input
-order, as soon as it is read off its stack's arrays.  No report object,
-dict or output string outlives its record.
+rows.  Each batch's n-groups then go through ``dominance.report_rows``,
+and every record is written, in input order, as soon as it is read off
+its stack's arrays.  No report object, dict or output string outlives
+its record.
 
 JSON is laid out here rather than by ``json.dumps(..., indent=2)`` of the
 whole payload, with the same bytes: ``json_object`` and ``json_list``
@@ -28,7 +29,7 @@ import numpy as np
 
 from .builders import format_threshold
 from .dominance import ReportRow, _constructive_witnesses, report_rows
-from .graphs import CHUNK, Graph, Graph6Error, _g6_groups, bit_rows, encode_graph6
+from .graphs import CHUNK, Graph6Error, _g6_groups
 from .spectra import CHECKS
 
 
@@ -77,14 +78,9 @@ def array_texts(items: Iterable[str], depth: int) -> Iterator[str]:
 
 # analyze --------------------------------------------------------------------
 
-def _decode(parsed: Graph | list[str]) -> tuple[list[str], list[dict]]:
-    """Record ids by line index and the records' batches, each
-    {n: (line indexes, packed edge-bit rows)}, or Graph6Error naming the
-    first bad line."""
-    if isinstance(parsed, Graph):
-        g = parsed
-        packed = np.packbits(bit_rows(g.n, [g.bits]), axis=1)
-        return [encode_graph6(g)], [{g.n: (np.zeros(1, np.int64), packed)}]
+def _decode(parsed: list[str]) -> list[dict]:
+    """The batches of stripped graph6 lines, each {n: (line indexes,
+    packed edge-bit rows)}, or Graph6Error naming the first bad line."""
     batches = []
     for start in range(0, len(parsed), CHUNK):
         stop = min(start + CHUNK, len(parsed))
@@ -94,7 +90,7 @@ def _decode(parsed: Graph | list[str]) -> tuple[list[str], list[dict]]:
             raise Graph6Error(f"line {line + 1}: {message}")
         batches.append({n: (keys, np.packbits(rows, axis=1))
                         for n, (keys, rows) in groups.items()})
-    return parsed, batches
+    return batches
 
 
 def _rows(batch: dict, tol: float) -> Iterable[tuple[int, ReportRow]]:
@@ -147,7 +143,7 @@ def _report_text(rid: str, row: ReportRow) -> str:
         lines.append(f"{check}: {verdict} (worst k={worst_k}, "
                      f"margin {_fmt(low)}){_near_note(v.near(i, check))}")
     lines.append(_witness_text(n, m))
-    serial = format_threshold(n, row.energy_witness.cols)
+    serial = format_threshold(n, row.energy_witness_cols)
     lines.append(f"energy witness: {serial} | LE {_fmt(le_t)} >= {_fmt(le_g)}")
     return "\n".join(lines) + "\n"
 
@@ -191,13 +187,13 @@ CSV_HEADER = [
 ]
 
 
-def write_reports(parsed: Graph | list[str], out, fmt: str, tol: float) -> None:
-    """Write the reports of analyze input (an edge-list graph, or stripped
-    graph6 lines) to the text stream ``out`` as "text", "csv" or "json",
-    byte-identical to joining every report's text, one csv.writer run, or
-    json.dumps(list, indent=2) plus a newline."""
-    ids, batches = _decode(parsed)
-    records = ((ids[key], row) for batch in batches for key, row in _rows(batch, tol))
+def write_reports(parsed: list[str], out, fmt: str, tol: float) -> None:
+    """Write the reports of analyze input, stripped graph6 lines, each
+    record's id its line, to the text stream ``out`` as "text", "csv" or
+    "json", byte-identical to joining every report's text, one csv.writer
+    run, or json.dumps(list, indent=2) plus a newline."""
+    batches = _decode(parsed)
+    records = ((parsed[key], row) for batch in batches for key, row in _rows(batch, tol))
     if fmt == "json":
         out.writelines(array_texts((_report_json(rid, row) for rid, row in records), 0))
         out.write("\n")

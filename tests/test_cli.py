@@ -21,7 +21,7 @@ from specdom import enumerate_threshold, scan_graph6_lines, std_constructive
 from specdom.builders import brouwer_extremal
 from specdom.cli import main
 from specdom.graphs import (Graph, complete as complete_graph, cycle, encode_graph6,
-                            from_edge_list)
+                            format_edge_list, from_edge_list, parse_edge_list)
 from specdom.writers import _jfloat
 
 C8 = "GhCGKC"
@@ -198,6 +198,35 @@ class TestAnalyze:
         rc, _, err = run(["analyze", "/nonexistent/path.g6"])
         assert rc == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["analyze", "--csv"],
+        ["search", "--check", "gmb,brouwer,std"], ["search", "--json"],
+    ], ids=["analyze", "analyze-csv", "search", "search-json"])
+    def test_non_finite_tolerance_is_refused(self, run, argv, tol):
+        # refused before the input is read, so --csv writes no header
+        rc, out, err = run([*argv, "-", f"--tolerance={tol}"], stdin_text="Bw\nC~\nDhc\n")
+        assert (rc, out) == (2, "")
+        assert err == f"error: --tolerance must be a finite number, got {tol}\n"
+
+    @pytest.mark.parametrize("text", [
+        SPLIT_EDGES,
+        # a 100-node record has a multi-byte size header, so it takes the
+        # one-record decoder rather than the batch one
+        format_edge_list(Graph(100, random.Random(100).getrandbits(100 * 99 // 2))),
+    ], ids=["split", "n100"])
+    def test_edge_list_reads_as_its_graph6_line(self, run, tmp_path, text):
+        edges = tmp_path / "g.edges"
+        edges.write_text(text)
+        g6 = tmp_path / "g.g6"
+        g6.write_text(encode_graph6(parse_edge_list(text)) + "\n")
+        for argv in (["analyze"], ["analyze", "--csv"], ["analyze", "--json"]):
+            rc, out, _ = run([*argv, str(edges)])
+            assert rc == 0 and out
+            assert run([*argv, str(g6)]) == (rc, out, ""), argv
+        built = run(["build", "split-dominator", str(edges), "2"])
+        assert run(["build", "split-dominator", str(g6), "2"]) == built
 
 
 class TestBuild:
@@ -516,19 +545,30 @@ class TestMixedCorpus:
         path.write_text(mixed_corpus())
         return str(path)
 
-    def test_search_agrees_with_analyze(self, run, corpus):
+    # at -1 every record is flagged, so both read the confirmed spectra
+    @pytest.mark.parametrize("tol", ["1e-7", "-1"])
+    def test_search_agrees_with_analyze(self, run, corpus, tol):
         # both commands read one margin table off the same Laplacian bytes
-        rc, out, _ = run(["search", corpus, "--check", "gmb,brouwer,std"])
-        assert rc == 0
-        rc, js, _ = run(["analyze", corpus, "--json"])
+        rc_search, out, _ = run(["search", corpus, "--check", "gmb,brouwer,std",
+                                 "--tolerance", tol])
+        rc, js, _ = run(["analyze", corpus, "--json", "--tolerance", tol])
         assert rc == 0
         reports = {r["id"]: r["checks"] for r in json.loads(js)}
-        events = [ln.split() for ln in out.splitlines() if ln.startswith("NEAR ")]
+        events = [ln.split() for ln in out.splitlines()
+                  if ln.startswith(("NEAR ", "VIOLATION "))]
         assert len(events) >= 2 * len(reports) == 2 * 42
-        for _, record, check, k, margin in events:
-            rep = reports[record][check.removeprefix("check=")]
-            assert (k, margin) == (f"k={rep['worst_k']}",
-                                   f"margin={rep['min_margin']:.12g}"), (record, check)
+        violated = set()
+        for kind, record, check, k, margin in events:
+            check = check.removeprefix("check=")
+            rep = reports[record][check]
+            assert (kind, k, margin) == ("NEAR" if rep["holds"] else "VIOLATION",
+                                         f"k={rep['worst_k']}",
+                                         f"margin={rep['min_margin']:.12g}"), (record, check)
+            if kind == "VIOLATION":
+                violated.add((record, check))
+        assert violated == {(record, check) for record, checks in reports.items()
+                            for check, rep in checks.items() if not rep["holds"]}
+        assert rc_search == (1 if violated else 0)
 
     # sha256 of stdout: the margins print to 12 digits, so these pins also
     # hold the rounding of every solve (eigvalsh follows the sign of a zero)

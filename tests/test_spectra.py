@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from specdom import (Spectrum, check_brouwer, check_gmb, cycle_spectrum,
-                     eigenvalues, energy_count, energy_via_prefix,
+                     eigenvalues, energy_count, energy_via_prefix, energy_witness,
                      jacobi_eigenvalues, jacobi_eigenvalues_batch, laplacian,
-                     laplacian_energy, prefix_sums)
+                     laplacian_energy, prefix_sums, scan_graph6_lines,
+                     std_constructive)
 from specdom.graphs import (Graph, complete, complete_plus_isolated, cycle,
                             decode_graph6)
 from specdom.partitions import conjugate_counts
@@ -332,6 +333,18 @@ class TestChecks:
         assert rep.min_margin == min(e.margin for e in rep.entries)
         assert rep.worst_k == min(e.k for e in rep.entries
                                   if e.margin == rep.min_margin)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("verdict", [
+        lambda tol: check_brouwer(cycle(5), tol),
+        lambda tol: std_constructive(cycle(5), tol),
+        lambda tol: energy_witness(cycle(5), tol),
+        lambda tol: scan_graph6_lines(["Bw"], tol=tol),
+    ], ids=["check_brouwer", "std_constructive", "energy_witness", "scan"])
+    def test_non_finite_tolerance_is_refused(self, verdict, tol):
+        # every verdict goes through spectra.verify, which refuses it
+        with pytest.raises(ValueError, match=f"tolerance must be a finite number, got {tol}"):
+            verdict(tol)
 
 
 class TestBoundRows:
