@@ -31,10 +31,16 @@ the one writer of graph6 error messages; ``graphs.bit_rows`` unpacks
 those records, and the edge masks of generated chunks, as Python ints,
 into the same rows.
 Events come back as arrays (position, check, k, margin, violation flag)
-ordered by position and check, and only the events the summary lists
-become objects; only their records' text is cut out of the chunk, or,
-for a generated chunk, encoded by one ``graphs.encode_graph6_batch``
-call.
+ordered by position and check.  Only the events the summary lists get
+their record's text, cut out of the chunk or, for a generated chunk,
+encoded by ``graphs.encode_graph6_batch``, and none becomes an object
+here: the listed violations, near equalities and errors are appended to
+their section of the summary in slices of at most ``SLICE``, each one
+marshalled block of columns.  A section keeps ``SPOOL_BUDGET`` bytes of
+blocks in memory and writes the rest to an unnamed temporary file
+(about 57 bytes per ``##bad##`` line's error), so the memory of a scan
+does not grow with the events it lists either; the objects are built
+as the summary is read.
 
 Inside ``verify``, a record that some check flags as a violation is
 confirmed once, all its checks together: the flagged records of a stack
@@ -46,9 +52,12 @@ near-equality events.
 
 from __future__ import annotations
 
+import marshal
 import sys
 import time
+from bisect import bisect_right
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from multiprocessing import Pool
@@ -61,6 +70,10 @@ from .spectra import CHECKS, DEFAULT_TOL, verdicts
 
 NEAR_CAP = 10000
 GEN_ALL_MAX = 7
+# listed events or errors per stored block, and the bytes of blocks one
+# section of a summary keeps in memory before it writes them to a file
+SLICE = 1024
+SPOOL_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -85,20 +98,78 @@ class RecordError:
     message: str
 
 
+class _Section(Sequence):
+    """A read-only list of ``kind`` objects, stored as marshalled blocks of
+    columns (one sequence per field) and built only as they are read.
+
+    Blocks stay in memory until they would pass ``SPOOL_BUDGET`` bytes;
+    later blocks go to one unnamed temporary file and are read back whole
+    by their (offset, length), so iterations may interleave.  marshal
+    round-trips floats bit for bit and strings with lone surrogates.
+    """
+
+    def __init__(self, kind):
+        self._kind = kind
+        self._blocks: list = []     # bytes, or (offset, length) in _file
+        self._ends: list[int] = []  # item count up to the end of each block
+        self._held = 0
+        self._file = None
+
+    def append(self, *columns: Sequence) -> None:
+        """Store one block: equal-length columns, one per field of ``kind``."""
+        data = marshal.dumps(columns)
+        if self._file is None and self._held + len(data) > SPOOL_BUDGET:
+            import tempfile
+            import weakref
+            self._file = tempfile.TemporaryFile()
+            weakref.finalize(self, self._file.close)
+        if self._file is None:
+            self._held += len(data)
+            self._blocks.append(data)
+        else:
+            self._blocks.append((self._file.seek(0, 2), len(data)))
+            self._file.write(data)
+        self._ends.append(len(self) + len(columns[0]))
+
+    def _columns(self, block) -> tuple:
+        if isinstance(block, tuple):
+            self._file.seek(block[0])
+            block = self._file.read(block[1])
+        return marshal.loads(block)
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self):
+        for block in self._blocks:
+            yield from map(self._kind, *self._columns(block))
+
+    def __getitem__(self, i: int):
+        i = range(len(self))[i]
+        b = bisect_right(self._ends, i)
+        i -= self._ends[b - 1] if b else 0
+        return self._kind(*(column[i] for column in self._columns(self._blocks[b])))
+
+
 @dataclass
 class ScanSummary:
     """Deterministic scan results plus volatile run facts.
 
     ``stdout_text`` depends only on the input stream and the checks;
-    ``stderr_text`` carries wall time and worker count.
+    ``stderr_text`` carries wall time and worker count.  A scan's
+    ``violations``, ``near`` and ``errors`` are read-only sequences that
+    build each object as it is read; each keeps its first
+    ``SPOOL_BUDGET`` bytes of events in memory and the rest in a
+    temporary file, about 57 bytes per ``##bad##`` line's error.  Plain
+    lists serve as well.
     """
 
     records: int
     checks: tuple[str, ...]
-    violations: list[Violation]
+    violations: Sequence[Violation]
     near_count: int
-    near: list[NearEquality]
-    errors: list[RecordError]
+    near: Sequence[NearEquality]
+    errors: Sequence[RecordError]
     wall_time: float
     jobs: int
 
@@ -243,15 +314,15 @@ def _run_chunks(payloads: Iterator, jobs: int) -> Iterator[tuple]:
             yield payload, result
 
 
-def _record_texts(payload, positions: list[int]) -> list[str]:
-    """graph6 texts of the records at ``positions`` of the chunk ``payload``."""
-    if not positions:
-        return []
+def _record_texts(payload):
+    """A function from positions in the chunk ``payload`` to the graph6
+    texts of the records there."""
     if payload[0] == "g6":
         lines = payload[4].split("\n")
-        return [lines[p].strip() for p in positions]
+        return lambda positions: [lines[p].strip() for p in positions]
     n, start = payload[3], payload[4]
-    return encode_graph6_batch(n, bit_rows(n, [start + p for p in positions]))
+    return lambda positions: encode_graph6_batch(
+        n, bit_rows(n, [start + p for p in positions]))
 
 
 def _assemble(payloads: Iterator, checks: tuple[str, ...], jobs: int,
@@ -259,28 +330,30 @@ def _assemble(payloads: Iterator, checks: tuple[str, ...], jobs: int,
     """Fold the chunk results into one summary; ``chunks`` is the chunk
     count when it is known ahead, for the progress lines."""
     records = 0
-    violations: list[Violation] = []
+    violations = _Section(Violation)
     near_count = 0
-    near: list[NearEquality] = []
-    errors: list[RecordError] = []
+    near = _Section(NearEquality)
+    errors = _Section(RecordError)
     for done, (payload, (count, events, errs)) in enumerate(
             _run_chunks(payloads, jobs), start=1):
         records += count
         pos, check, k, margin, violation = events
         near_at = np.flatnonzero(~violation)
         near_count += len(near_at)
-        # only the events that are listed become objects (and get their
-        # record's text); the other near events are counted
-        listed = np.concatenate((np.flatnonzero(violation),
-                                 near_at[:max(NEAR_CAP - len(near), 0)]))
-        columns = (violation[listed].tolist(), check[listed].tolist(),
-                   k[listed].tolist(), margin[listed].tolist())
-        for text, flag, ci, kk, mm in zip(_record_texts(payload, pos[listed].tolist()),
-                                          *columns):
-            kind, out = (Violation, violations) if flag else (NearEquality, near)
-            out.append(kind(text, checks[ci], kk, mm))
-        for line, message in errs:
-            errors.append(RecordError(line, message))
+        # only the listed events get their record's text, a slice at a
+        # time; the other near events are counted
+        listed = ((violations, np.flatnonzero(violation)),
+                  (near, near_at[:max(NEAR_CAP - len(near), 0)]))
+        if any(len(at) for _, at in listed):
+            texts = _record_texts(payload)
+            for section, at in listed:
+                for start in range(0, len(at), SLICE):
+                    part = at[start:start + SLICE]
+                    section.append(texts(pos[part].tolist()),
+                                   [checks[c] for c in check[part].tolist()],
+                                   k[part].tolist(), margin[part].tolist())
+        for start in range(0, len(errs), SLICE):
+            errors.append(*zip(*errs[start:start + SLICE]))
         if progress:
             seen = f"{done}/{chunks} chunks" if chunks else f"{done} chunks, {records} records"
             print(f"progress: {seen}", file=sys.stderr)

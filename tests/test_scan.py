@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from specdom import spectra
+from specdom import scan, spectra
 from specdom.graphs import (Graph, Graph6Error, decode_graph6,
                             decode_graph6_batch, encode_graph6)
 from specdom.scan import (CHUNK, GEN_ALL_MAX, NEAR_CAP, ScanSummary, _g6_groups,
@@ -262,6 +262,47 @@ class TestColumnarEvents:
         assert f"(near-equality list capped at {NEAR_CAP})" in out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert scan(2).stdout_text() == out
+
+
+class TestSpooledSections:
+    @pytest.mark.parametrize("tol", [spectra.DEFAULT_TOL, -0.5], ids=["near", "violations"])
+    def test_spilled_views_round_trip(self, monkeypatch, tol):
+        checks = ("gmb", "brouwer", "std")
+        lines = [encode_graph6(Graph(5, mask)).encode() for mask in range(1024)]
+        lines[3:3] = [b"D\x80\x80", b"##bad##"] * 15
+        # the reference: the chunk's own event columns and errors
+        payload = next(scan._stream_chunks(lines, checks, tol))
+        _, (pos, check, k, margin, violation), errs = scan._scan_chunk(payload)
+        texts = payload[4].split("\n")
+        events = [(texts[p], checks[c], kk, mm.hex()) for p, c, kk, mm in
+                  zip(pos.tolist(), check.tolist(), k.tolist(), margin.tolist())]
+        flags = violation.tolist()
+        # ten items a block, the first few blocks of each section in memory
+        monkeypatch.setattr(scan, "SLICE", 10)
+        monkeypatch.setattr(scan, "SPOOL_BUDGET", 1000)
+        s = scan_graph6_lines(lines, checks=checks, tol=tol)
+        for view, want in ((s.violations, [e for e, f in zip(events, flags) if f]),
+                           (s.near, [e for e, f in zip(events, flags) if not f])):
+            assert len(view) == len(want) and bool(view) == bool(want)
+            assert [(e.record, e.check, e.k, e.margin.hex()) for e in view] == want
+            if not want:
+                with pytest.raises(IndexError):
+                    view[0]
+                continue
+            assert isinstance(view._blocks[0], bytes) and isinstance(view._blocks[-1], tuple)
+            for i in (0, 11, -1):
+                e = view[i]
+                assert (e.record, e.check, e.k, e.margin.hex()) == want[i]
+            pairs = list(zip(view, view))
+            assert len(pairs) == len(want) and all(a == b for a, b in pairs)
+        assert len(s.errors) == len(errs) == 30 and s.errors
+        assert isinstance(s.errors._blocks[-1], tuple)
+        assert [(e.line, e.message) for e in s.errors] == errs
+        assert s.errors[0] == scan.RecordError(
+            4, "byte 1: character '\\udc80' outside graph6 range 63..126")
+        lone = scan._Section(scan.RecordError)
+        lone.append([7], ["\udc80"])
+        assert list(lone) == [scan.RecordError(7, "\udc80")]
 
 
 def count_confirmed(monkeypatch):

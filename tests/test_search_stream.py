@@ -273,3 +273,27 @@ def test_analyze_peak_rss_does_not_grow_with_input(run_python, tmp_path):
         peaks.append(spawn_cli(run_python, tmp_path / "out", "analyze", str(path),
                                "--json")[0])
     assert peaks[1] - peaks[0] < 4.0, peaks
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB on Linux")
+@pytest.mark.parametrize("line, chunks, options, pins", [
+    # 196,608 errors once peaked at 78.6 MB, against 33.8 MB for 8,192
+    (b"##bad##", 48, [],
+     {"text": "078b36e7608cc82e6738e95cf43bd7027e9e3d1a213db361acc1bbc0ff714358",
+      "json": "d86ae450652becb7f1256ec4c30e68f6d4ae6467fddd57beaedf614f3d7a4266"}),
+    # 49,152 violations once peaked at 43.3 MB, against 34.6 MB for 8,192
+    (b"A_", 12, ["--check", "gmb", "--tolerance", "-0.5"],
+     {"text": "826fa531241e199cfd56a8ef02d5218c7c40d2b015f063ef4453d6993467cbbc"}),
+], ids=["errors", "violations"])
+def test_listed_events_do_not_grow_memory(run_python, tmp_path, line, chunks, options,
+                                          pins):
+    small, large = tmp_path / "small.g6", tmp_path / "large.g6"
+    small.write_bytes((line + b"\n") * 2 * CHUNK)
+    large.write_bytes((line + b"\n") * chunks * CHUNK)
+    for fmt, pin in pins.items():
+        argv = options + (["--json"] if fmt == "json" else [])
+        base = spawn_cli(run_python, tmp_path / "out", "search", str(small), *argv)[0]
+        peak, sha = spawn_cli(run_python, tmp_path / "out", "search", str(large), *argv)
+        assert peak < 1.1 * base, (fmt, peak, base)
+        # recorded from the scan that kept one object per listed event
+        assert sha == pin
