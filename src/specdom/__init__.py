@@ -18,13 +18,14 @@ _NAMES = {
         complement_threshold cycle_dominator enumerate_threshold
         format_threshold from_below_columns from_creation_sequence
         parse_threshold pineapple realize spectrum_of split_dominator
-        threshold_columns threshold_count union_merge
+        union_merge
     """.split(),
     "dominance": """
         BrouwerViolationError DominanceReport DominanceWitness PerKEntry
         energy_witness max_energy_threshold std_constructive std_oracle
         threshold_energy
     """.split(),
+    "enumeration": "threshold_columns threshold_count".split(),
     "graphs": """
         Graph Graph6Error GraphInputError complement complete
         complete_plus_isolated cycle decode_graph6 disjoint_union

@@ -4,28 +4,24 @@ Deterministic results go to stdout; wall time, worker counts, and
 progress go to stderr.  Exit codes: 0 success, 1 violations found by
 search, 2 input or usage errors.
 
-Only ``analyze`` and ``search`` solve spectra, so only they load numpy.
+This module imports only argparse and sys, so ``--help`` and a usage
+error load nothing else.  Each command imports the modules it runs:
+``enumerate-threshold`` only ``enumeration``; ``build`` the builders,
+``graphs`` and ``partitions``; ``search`` the scan and ``analyze`` the
+writers, and only those two load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
-from contextlib import nullcontext
-from itertools import islice
-from typing import TYPE_CHECKING, Iterable
 
-from .builders import (ThresholdGraph, _check_edge_count, _json_records,
-                       _threshold_text, brouwer_extremal, brouwer_extremal_plan,
-                       clique_plus_isolated_threshold, cycle_dominator,
-                       parse_threshold, pineapple, split_dominator,
-                       threshold_count, union_merge)
-from .graphs import (DEFAULT_TOL, MAX_N, Graph, Graph6Error, GraphInputError,
-                     decode_graph6, encode_graph6, parse_edge_list)
-
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Iterable
+
+    from .builders import ThresholdGraph
+    from .graphs import Graph
     from .scan import ScanSummary
 
 ENUMERATE_MAX_N = 20
@@ -37,7 +33,7 @@ _WRITE_BLOCK = 256
 
 
 # The solver entry points stay names of this module, called through it, so
-# that a tracer can wrap them here; main() has imported their modules first.
+# that a tracer can wrap them here.
 def scan_graph6_lines(lines: Iterable[str] | Iterable[bytes],
                       **options) -> ScanSummary:
     from . import scan
@@ -52,6 +48,8 @@ def scan_all_graphs(n: int, **options) -> ScanSummary:
 def _open_binary(path: str):
     """A file, or stdin for '-', as a binary stream to use in a with block
     (which leaves stdin open)."""
+    from contextlib import nullcontext
+
     return nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
 
 
@@ -71,6 +69,8 @@ def _analyze_input(text: str) -> list[str]:
     is treated as graph6.  A node count above MAX_N in the edge-list
     header is an error before any edge is read.
     """
+    from .graphs import MAX_N, GraphInputError, encode_graph6, parse_edge_list
+
     stripped = [ln.strip() for ln in text.splitlines()]
     first = next((ln for ln in stripped if ln), None)
     if first is None:
@@ -85,6 +85,8 @@ def _graphs_from_text(text: str) -> list[Graph]:
     """analyze-style input as graphs, decoded one line at a time without
     numpy, as ``build split-dominator`` reads its graph; a graph6 size
     header above MAX_N is an error before the body is read."""
+    from .graphs import MAX_N, Graph6Error, decode_graph6
+
     out = []
     for line_no, ln in enumerate(_analyze_input(text), start=1):
         if not ln:
@@ -96,14 +98,35 @@ def _graphs_from_text(text: str) -> list[Graph]:
     return out
 
 
+def _tolerance(args) -> float:
+    """``--tolerance``, or the checks' default when it is not given;
+    refused unless it is a finite number."""
+    from math import isfinite
+
+    from .graphs import DEFAULT_TOL
+
+    tol = DEFAULT_TOL if args.tolerance is None else args.tolerance
+    if not isfinite(tol):
+        raise ValueError(f"--tolerance must be a finite number, got {tol}")
+    return tol
+
+
 def _cmd_analyze(args) -> int:
     from .writers import write_reports
+
+    tol = _tolerance(args)
     fmt = "json" if args.json else "csv" if args.csv else "text"
-    write_reports(_analyze_input(_read_text(args.input)), sys.stdout, fmt, args.tolerance)
+    write_reports(_analyze_input(_read_text(args.input)), sys.stdout, fmt, tol)
     return 0
 
 
 def _build_threshold(args) -> tuple[ThresholdGraph, dict | None]:
+    from .builders import (brouwer_extremal, brouwer_extremal_plan,
+                           clique_plus_isolated_threshold, cycle_dominator,
+                           parse_threshold, pineapple, split_dominator,
+                           union_merge)
+    from .graphs import GraphInputError
+
     if args.builder == "brouwer-extremal":
         plan = brouwer_extremal_plan(args.n, args.m, args.k)
         t = brouwer_extremal(args.n, args.m, args.k)
@@ -134,10 +157,14 @@ def _build_threshold(args) -> tuple[ThresholdGraph, dict | None]:
 
 
 def _cmd_build(args) -> int:
+    from .graphs import encode_graph6
+
     t, case = _build_threshold(args)
     conj = t.spectrum_ints()
     g6 = encode_graph6(t.realize())
     if args.json:
+        import json
+
         payload = {
             "threshold": t.serialize(),
             "n": t.n,
@@ -161,6 +188,9 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from itertools import islice
+
+    tol = _tolerance(args)
     checks = []
     for item in args.check:
         checks.extend(c for c in item.split(",") if c)
@@ -171,13 +201,13 @@ def _cmd_search(args) -> int:
             raise ValueError("search takes either an input stream or "
                              "--gen-all, not both")
         summary = scan_all_graphs(args.gen_all, checks=checks, jobs=args.jobs,
-                                  tol=args.tolerance, progress=args.progress)
+                                  tol=tol, progress=args.progress)
     else:
         # binary lines, pulled by the scan a chunk at a time; it decodes
         # them as _read_text does
         with _open_binary(args.input) as fh:
             summary = scan_graph6_lines(fh, checks=checks, jobs=args.jobs,
-                                        tol=args.tolerance, progress=args.progress)
+                                        tol=tol, progress=args.progress)
     if args.json:
         from .writers import summary_json
         texts = summary_json(summary)
@@ -196,6 +226,9 @@ def _cmd_enumerate(args) -> int:
     stdout empty.  The output is byte-identical to printing each record's
     serialization, or ``json.dumps(payload, indent=2)`` with ``--json``.
     """
+    from .enumeration import (_check_edge_count, _json_text, _threshold_text,
+                              threshold_count)
+
     n, m = args.n, args.m
     if not 1 <= n <= ENUMERATE_MAX_N:
         raise ValueError(
@@ -207,13 +240,10 @@ def _cmd_enumerate(args) -> int:
     count = sum(threshold_count(n, mm) for mm in ms)
     write = sys.stdout.write
     if args.json:
-        write(f'{{\n  "n": {n},\n  "m": {json.dumps(m)},\n'
+        write(f'{{\n  "n": {n},\n  "m": {"null" if m is None else m},\n'
               f'  "count": {count},\n  "records": [')
-        # every valid m has at least one record, so no block is empty
-        sep = "\n"
-        for mm in ms:
-            write(sep + _json_records(n, mm))
-            sep = ",\n"
+        for piece in _json_text(n, ms):
+            write(piece)
         write("\n  ]\n}\n")
         return 0
     for text in _threshold_text(n, ms):
@@ -236,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = p_an.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON report array")
     fmt.add_argument("--csv", action="store_true", help="CSV report rows")
-    p_an.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
+    p_an.add_argument("--tolerance", type=float, default=None,
                       help="inequality tolerance (default 1e-7)")
     p_an.set_defaults(func=_cmd_analyze)
 
@@ -275,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--gen-all", type=int, default=None, metavar="N",
                      help="scan all 2^(N(N-1)/2) labelled graphs instead of "
                           "reading input (N <= 7)")
-    p_s.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
+    p_s.add_argument("--tolerance", type=float, default=None,
                      help="inequality tolerance (default 1e-7)")
     p_s.add_argument("--json", action="store_true")
     p_s.set_defaults(func=_cmd_search)
@@ -293,18 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # numpy loads here, before the command's work starts
-    if args.command == "analyze":
-        from . import writers  # noqa: F401
-    elif args.command == "search":
-        from . import scan  # noqa: F401
     try:
-        if args.command in ("analyze", "search") and not math.isfinite(args.tolerance):
-            raise ValueError(f"--tolerance must be a finite number, got {args.tolerance}")
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (Graph6Error, GraphInputError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

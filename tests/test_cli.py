@@ -19,9 +19,11 @@ except ImportError:
 
 from specdom import enumerate_threshold, scan_graph6_lines, std_constructive
 from specdom.builders import brouwer_extremal
+from specdom import scan
 from specdom.cli import main
 from specdom.graphs import (Graph, complete as complete_graph, cycle, encode_graph6,
                             format_edge_list, from_edge_list, parse_edge_list)
+from specdom.scan import MAX_JOBS
 from specdom.writers import _jfloat
 
 C8 = "GhCGKC"
@@ -389,6 +391,26 @@ class TestSearch:
         rc, _, err = run(["search", "--gen-all", "3", "--check", "spectral"])
         assert rc == 2
         assert "unknown check" in err
+
+    @pytest.mark.parametrize("source", [["-"], ["--gen-all", "7"]],
+                             ids=["stream", "gen-all"])
+    def test_jobs_above_the_bound_is_a_usage_error(self, run, monkeypatch, source):
+        # refused before a worker starts or a byte of stdin is read
+        class Unread(io.RawIOBase):
+            def readable(self):
+                return True
+
+            def readinto(self, buffer):
+                raise AssertionError("input was read")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(scan, "Pool", no_pool)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BufferedReader(Unread())))
+        rc, out, err = run(["search", *source, "--jobs", str(MAX_JOBS + 1)])
+        assert (rc, out) == (2, "")
+        assert err == f"error: worker count must be between 1 and {MAX_JOBS}\n"
 
     def test_jobs_do_not_change_stdout(self, run):
         rc1, out1, _ = run(["search", "--gen-all", "5", "--jobs", "1"])

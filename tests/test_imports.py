@@ -1,6 +1,9 @@
 """What importing the package and running each command loads, each in a
-fresh interpreter: numpy only for the commands that solve spectra."""
+fresh interpreter: numpy only for the commands that solve spectra, and
+of the package and the heavier standard modules only what the command
+runs."""
 
+import ast
 import json
 
 import pytest
@@ -9,6 +12,27 @@ import pytest
 # whether numpy was imported
 PROBE = ("import sys; from specdom.cli import main; rc = main(sys.argv[1:]); "
          "print('numpy' in sys.modules, file=sys.stderr); sys.exit(rc)")
+
+# standard modules that cost a command's start-up time when it does not
+# need them: dataclasses pulls in inspect, ast, dis and tokenize
+WATCHED = ("dataclasses", "inspect", "json", "csv", "multiprocessing", "numpy")
+# the package's modules and the WATCHED ones imported so far, sorted
+LOADED = ("[sorted(m for m in sys.modules if m.partition('.')[0] == 'specdom'), "
+          f"[m for m in {WATCHED!r} if m in sys.modules]]")
+# runs the command line in this interpreter, then reports LOADED on stderr
+# as its last line, also after --help; it imports nothing of its own
+MODULES_PROBE = ("import sys\n"
+                 "from specdom.cli import main\n"
+                 "try:\n"
+                 "    sys.exit(main(sys.argv[1:]))\n"
+                 "finally:\n"
+                 f"    print({LOADED}, file=sys.stderr)\n")
+BARE = ["specdom", "specdom.cli"]
+BUILD = sorted(BARE + ["specdom.builders", "specdom.enumeration", "specdom.graphs",
+                       "specdom.partitions"])
+SEARCH = sorted(BARE + ["specdom.graphs", "specdom.scan", "specdom.spectra"])
+ANALYZE = sorted(BARE + ["specdom.builders", "specdom.dominance", "specdom.enumeration",
+                         "specdom.graphs", "specdom.spectra", "specdom.writers"])
 
 PUBLIC_NAMES = [
     "BrouwerViolationError", "CheckReport", "ConjugateSequence",
@@ -58,6 +82,36 @@ def test_numpy_loads_only_to_solve_spectra(run_python, tmp_path, argv,
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
     assert proc.stderr.splitlines()[-1] == str(numpy_loaded)
+
+
+def test_cli_import_loads_only_the_cli(run_python):
+    proc = run_python(["-c", f"import sys, specdom.cli; print({LOADED})"], text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == [BARE, []]
+
+
+@pytest.mark.parametrize("argv, package, watched", [
+    (["--help"], BARE, []),
+    (["enumerate-threshold", "6"], [*BARE, "specdom.enumeration"], []),
+    (["enumerate-threshold", "6", "--json"], [*BARE, "specdom.enumeration"], []),
+    (["build", "cycle-dominator", "8"], BUILD, ["dataclasses", "inspect"]),
+    (["build", "cycle-dominator", "8", "--json"], BUILD,
+     ["dataclasses", "inspect", "json"]),
+    (["search", "{k3}", "--jobs", "1"], SEARCH, ["dataclasses", "inspect", "numpy"]),
+    (["analyze", "{k3}"], ANALYZE, ["dataclasses", "inspect", "numpy"]),
+    (["analyze", "{k3}", "--csv"], ANALYZE, ["dataclasses", "inspect", "csv", "numpy"]),
+    (["analyze", "{k3}", "--json"], ANALYZE, ["dataclasses", "inspect", "json", "numpy"]),
+], ids=["help", "enumerate", "enumerate-json", "build", "build-json", "search",
+        "analyze", "analyze-csv", "analyze-json"])
+def test_each_command_loads_only_what_it_runs(run_python, tmp_path, argv,
+                                              package, watched):
+    k3 = tmp_path / "k3.g6"
+    k3.write_text("Bw\n")
+    argv = [a.format(k3=k3) for a in argv]
+    proc = run_python(["-c", MODULES_PROBE, *argv], text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    assert ast.literal_eval(proc.stderr.splitlines()[-1]) == [package, watched]
 
 
 def test_public_names(run_python):

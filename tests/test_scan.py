@@ -11,7 +11,7 @@ import pytest
 from specdom import scan, spectra
 from specdom.graphs import (Graph, Graph6Error, decode_graph6,
                             decode_graph6_batch, encode_graph6)
-from specdom.scan import (CHUNK, GEN_ALL_MAX, NEAR_CAP, ScanSummary, _g6_groups,
+from specdom.scan import (CHUNK, GEN_ALL_MAX, MAX_JOBS, NEAR_CAP, ScanSummary, _g6_groups,
                           _resolve_jobs, _validate_checks,
                           scan_all_graphs, scan_graph6_lines)
 from specdom.spectra import laplacian, laplacians, verify
@@ -391,6 +391,22 @@ class TestConfiguration:
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError, match="at least 1"):
             _resolve_jobs(0)
+
+    def test_jobs_above_the_bound_refused_before_input_is_read(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        def unread():
+            raise AssertionError("input was read")
+            yield "Bw"
+
+        monkeypatch.setattr(scan, "Pool", no_pool)
+        assert _resolve_jobs(MAX_JOBS) == MAX_JOBS
+        message = f"^worker count must be between 1 and {MAX_JOBS}$"
+        with pytest.raises(ValueError, match=message):
+            scan_graph6_lines(unread(), jobs=MAX_JOBS + 1)
+        with pytest.raises(ValueError, match=message):
+            scan_all_graphs(GEN_ALL_MAX, jobs=100_000)
 
 
 class TestSummaryShape:
