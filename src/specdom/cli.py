@@ -98,6 +98,17 @@ def _graphs_from_text(text: str) -> list[Graph]:
     return out
 
 
+def _one_blas_thread() -> None:
+    """One BLAS thread per process unless the user set a count, read when
+    numpy loads: large-n results then do not depend on the CPU count, and
+    --jobs workers do not oversubscribe the CPUs."""
+    import os
+
+    if "numpy" not in sys.modules:
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(name, "1")
+
+
 def _tolerance(args) -> float:
     """``--tolerance``, or the checks' default when it is not given;
     refused unless it is a finite number."""
@@ -112,6 +123,7 @@ def _tolerance(args) -> float:
 
 
 def _cmd_analyze(args) -> int:
+    _one_blas_thread()
     from .writers import write_reports
 
     tol = _tolerance(args)
@@ -190,6 +202,7 @@ def _cmd_build(args) -> int:
 def _cmd_search(args) -> int:
     from itertools import islice
 
+    _one_blas_thread()
     tol = _tolerance(args)
     checks = []
     for item in args.check:
@@ -209,7 +222,7 @@ def _cmd_search(args) -> int:
             summary = scan_graph6_lines(fh, checks=checks, jobs=args.jobs,
                                         tol=tol, progress=args.progress)
     if args.json:
-        from .writers import summary_json
+        from .jsonlayout import summary_json
         texts = summary_json(summary)
     else:
         texts = (f"{line}\n" for line in summary.stdout_lines())

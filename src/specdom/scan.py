@@ -4,12 +4,19 @@ This module only chunks the input, calls ``spectra.verdicts`` and
 assembles events: the edge-bit order and the graph6 batch reader belong
 to ``graphs``, and the Laplacian and the margins to ``spectra``.
 
-The stream is cut into fixed-size chunks lazily, as the scan needs them:
-a stream chunk is its first line number and its lines, split by
-``str.splitlines`` whether they came as bytes or as str, and shipped as
-one newline-joined text blob.  At most 2 x jobs chunks are in flight at
-once (one worker unless the caller asks for more, at most ``MAX_JOBS``),
-so memory does not grow with the input.  A record in a chunk is keyed once, by its line
+The stream is cut into chunks lazily, as the scan needs them.  A binary
+stream, the command line's file or stdin, is read into a bytes buffer and
+cut after a newline found there by numpy: a chunk ends after CHUNK lines
+or at ``CHUNK_BYTES`` bytes, whichever comes first, so no line becomes
+an object in this process and a chunk of large graphs holds only a few.
+Other iterables, of str or bytes lines, go CHUNK items to a chunk, each
+item given a final newline.  The chunk's text travels as is; the worker
+decodes bytes as UTF-8 with surrogateescape, splits the text by
+``str.splitlines`` and returns its line count, and errors are numbered
+from a running count of lines, so every form of the input numbers the
+same lines.  At most 2 x jobs chunks are in flight at once (one worker
+unless the caller asks for more, at most ``MAX_JOBS``), so memory does
+not grow with the input.  A record in a chunk is keyed once, by its line
 offset, and events and errors are numbered from that key.  Every chunk is
 processed by the same batched path (``spectra.verdicts``: per stack
 of at most 2^20 matrix entries, ``spectra.laplacians`` on the edge-bit
@@ -30,13 +37,17 @@ numpy.  Records that path does not take (multi-byte headers, the
 the one writer of graph6 error messages; ``graphs.bit_rows`` unpacks
 those records, and the edge masks of generated chunks, as Python ints,
 into the same rows.
-Events come back as arrays (position, check, k, margin, violation flag)
-ordered by position and check.  Only the events the summary lists get
-their record's text, cut out of the chunk or, for a generated chunk,
-encoded by ``graphs.encode_graph6_batch``, and none becomes an object
-here: the listed violations, near equalities and errors are appended to
-their section of the summary in slices of at most ``SLICE``, each one
-marshalled block of columns.  A section keeps ``SPOOL_BUDGET`` bytes of
+A chunk's events are arrays (position, check, k, margin, violation flag)
+ordered by position and check.  A chunk returns only the events the
+summary can list: its payload carries, when it is sent, how many near
+equalities can still be listed, and the chunk returns its near count,
+every violation and at most that many near equalities.  A record's text
+is cut out of the chunk or, for a generated chunk, encoded by
+``graphs.encode_graph6_batch``.  The listed events come back as the
+blocks their section of the summary stores: slices of at most ``SLICE``,
+each one marshalled block of columns (record texts, check names, k,
+margins), so no event becomes an object here; errors are numbered here
+and stored the same way.  A section keeps ``SPOOL_BUDGET`` bytes of
 blocks in memory and writes the rest to an unnamed temporary file
 (about 57 bytes per ``##bad##`` line's error), so the memory of a scan
 does not grow with the events it lists either; the objects are built
@@ -52,6 +63,7 @@ near-equality events.
 
 from __future__ import annotations
 
+import io
 import marshal
 import sys
 import time
@@ -75,6 +87,10 @@ GEN_ALL_MAX = 7
 # section of a summary keeps in memory before it writes them to a file
 SLICE = 1024
 SPOOL_BUDGET = 1 << 20
+# the most bytes of a binary stream in one chunk, unless its one line is
+# longer: 4,096 records on up to 12 nodes still make one chunk, and a chunk
+# of large graphs holds a few, so its memory does not grow with n^2 x CHUNK
+CHUNK_BYTES = 1 << 16
 # the most workers a scan starts; a larger --jobs is refused before any
 # input is read, as its window of 2 x jobs chunks would be unbounded
 MAX_JOBS = 256
@@ -121,7 +137,10 @@ class _Section(Sequence):
 
     def append(self, *columns: Sequence) -> None:
         """Store one block: equal-length columns, one per field of ``kind``."""
-        data = marshal.dumps(columns)
+        self.append_block(len(columns[0]), marshal.dumps(columns))
+
+    def append_block(self, count: int, data: bytes) -> None:
+        """Store one block of ``count`` items, its columns marshalled."""
         if self._file is None and self._held + len(data) > SPOOL_BUDGET:
             import tempfile
             import weakref
@@ -133,7 +152,7 @@ class _Section(Sequence):
         else:
             self._blocks.append((self._file.seek(0, 2), len(data)))
             self._file.write(data)
-        self._ends.append(len(self) + len(columns[0]))
+        self._ends.append(len(self) + count)
 
     def _columns(self, block) -> tuple:
         if isinstance(block, tuple):
@@ -210,26 +229,38 @@ class ScanSummary:
                 f"({self.jobs} {worker})\n")
 
 
-def _scan_chunk(payload) -> tuple[int, tuple[np.ndarray, ...], list]:
-    """Process one chunk; returns (records, events, errors).
+def _scan_chunk(payload) -> tuple[int, int, int, list, list, list]:
+    """Process one chunk; returns (lines, records, near count, violations,
+    near, errors).
 
-    events are five arrays, one entry per violation or near-equality
-    event, ordered by (position, check): the record's position in the
-    chunk, the check's index in the payload's checks, k, the margin, and
-    whether it is a violation.  A position is the record's line offset in
-    a stream chunk, blank lines counted, and its mask's offset from the
-    first mask of a generated one.  errors are (line, message), the line
-    numbered from the chunk's first line.
+    A payload is (checks, tol, near_cap, "g6", text) for a stream chunk,
+    its text str or UTF-8 bytes, or (checks, tol, near_cap, "gen", n,
+    start, stop) for the masks start..stop - 1 on n nodes.  ``violations``
+    holds every violation of the chunk and ``near`` its first ``near_cap``
+    near equalities, ordered by record and check, each as blocks of at
+    most SLICE events: (count, marshalled columns of record texts, check
+    names, k and margins), as a summary's section stores them.  ``lines``
+    is the chunk's line count and errors are (line offset, message),
+    numbered from 0 at the chunk's first line.
     """
-    kind, checks, tol = payload[0], payload[1], payload[2]
+    checks, tol, near_cap, kind = payload[:4]
     if kind == "g6":
-        first, lines = payload[3], payload[4].split("\n")
+        data = payload[4]
+        if isinstance(data, bytes):
+            data = data.decode("utf-8", "surrogateescape")
+        lines = data.splitlines()
         groups, errors = _g6_groups((i, text) for i, raw in enumerate(lines)
                                     if (text := raw.strip()))
-        errors = [(first + i, message) for i, message in errors]
+
+        def texts(positions):
+            return [lines[p].strip() for p in positions]
     else:
-        n, start, stop = payload[3], payload[4], payload[5]
+        n, start, stop = payload[4:]
+        lines = ()
         groups, errors = {n: (np.arange(stop - start), bit_rows(n, range(start, stop)))}, []
+
+        def texts(positions):
+            return encode_graph6_batch(n, bit_rows(n, [start + p for p in positions]))
     records = 0
     found = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0), np.zeros(0, bool))]
     for n, (pos, rows) in sorted(groups.items()):
@@ -242,8 +273,17 @@ def _scan_chunk(payload) -> tuple[int, tuple[np.ndarray, ...], list]:
                               v.min_margin[check][hit], violated[hit]))
     pos, check, k, margin, violation = (np.concatenate(col) for col in zip(*found))
     order = np.lexsort((check, pos))
-    events = tuple(col[order] for col in (pos, check, k, margin, violation))
-    return records, events, errors
+    pos, check, k, margin, violation = (col[order] for col in (pos, check, k, margin, violation))
+    near_at = np.flatnonzero(~violation)
+
+    def blocks(at):
+        return [(len(part), marshal.dumps((texts(pos[part].tolist()),
+                                           [checks[c] for c in check[part].tolist()],
+                                           k[part].tolist(), margin[part].tolist())))
+                for part in (at[i:i + SLICE] for i in range(0, len(at), SLICE))]
+
+    return (len(lines), records, len(near_at), blocks(np.flatnonzero(violation)),
+            blocks(near_at[:near_cap]), errors)
 
 
 def _validate_checks(checks: Iterable[str]) -> tuple[str, ...]:
@@ -266,30 +306,58 @@ def _resolve_jobs(jobs: int) -> int:
     return jobs
 
 
-def _stream_chunks(lines: Iterable, checks: tuple[str, ...],
-                   tol: float) -> Iterator[tuple]:
-    """Payloads of CHUNK input lines each, cut only as they are pulled.
+def _stream_chunks(lines: Iterable) -> Iterator[tuple]:
+    """The chunks of a graph6 stream, ("g6", text), cut only as they are
+    pulled; each chunk ends on a line break, so the chunks' lines, split
+    by ``str.splitlines``, are those of the whole text.
 
-    A payload holds its first line number and its lines.  Items, bytes
-    lines as a binary file yields them or str lines, are joined, each
-    given a final newline if it has none, so no two items run together;
-    bytes are then decoded as UTF-8 with surrogateescape.  The text is
-    split by ``str.splitlines``; each chunk ends on a line break, so the
-    line numbers are those of the whole text.  Those lines, which hold no
-    newline, ship joined by newlines into one text blob.
+    A binary stream is cut by ``_byte_chunks``.  Other items, bytes lines
+    as a binary file yields them or str lines, go CHUNK to a chunk, joined
+    with one final newline each if they have none, so no two items run
+    together.
     """
+    if isinstance(lines, (io.BufferedIOBase, io.RawIOBase)):
+        yield from _byte_chunks(lines)
+        return
     lines = iter(lines)
-    first = 1
     while chunk := list(islice(lines, CHUNK)):
-        # one final newline per item, whether it came with one or not
         if isinstance(chunk[0], bytes):
-            text = (b"\n".join(map(bytes.removesuffix, chunk, repeat(b"\n")))
-                    + b"\n").decode("utf-8", "surrogateescape")
+            yield "g6", b"\n".join(map(bytes.removesuffix, chunk, repeat(b"\n"))) + b"\n"
         else:
-            text = "\n".join(map(str.removesuffix, chunk, repeat("\n"))) + "\n"
-        chunk = text.splitlines()
-        yield ("g6", checks, tol, first, "\n".join(chunk))
-        first += len(chunk)
+            yield "g6", "\n".join(map(str.removesuffix, chunk, repeat("\n"))) + "\n"
+
+
+def _byte_chunks(stream) -> Iterator[tuple]:
+    """A binary stream's chunks, ("g6", bytes): each ends after a newline
+    or at the end of the stream, and holds at most CHUNK newlines and at
+    most CHUNK_BYTES bytes, unless its one line is longer.
+
+    The newlines are found by numpy in a buffer, so no line becomes an
+    object here.  A newline byte decodes to a line break, also after an
+    invalid byte, and ends any line break it is part of (CR LF), so a cut
+    after it splits no line.
+    """
+    buf, eof = b"", False
+    while True:
+        while not eof and len(buf) < CHUNK_BYTES:
+            block = stream.read(CHUNK_BYTES - len(buf))
+            eof = not block
+            buf += block
+        if not buf:
+            return
+        ends = np.flatnonzero(np.frombuffer(buf, np.uint8) == 10)
+        if len(ends) >= CHUNK:
+            cut = int(ends[CHUNK - 1]) + 1
+        elif eof:
+            cut = len(buf)
+        elif len(ends):
+            cut = int(ends[-1]) + 1
+        else:
+            # a line longer than the budget is a chunk of its own
+            buf += stream.readline()
+            cut = len(buf)
+        yield "g6", buf[:cut]
+        buf = buf[cut:]
 
 
 def Pool(jobs: int):
@@ -301,7 +369,7 @@ def Pool(jobs: int):
 
 
 def _run_chunks(payloads: Iterator, jobs: int) -> Iterator[tuple]:
-    """(payload, result) of each chunk, in input order.
+    """The result of each chunk, in input order.
 
     Input that fits in one chunk, or one job, runs in this process.
     Otherwise a pool of ``jobs`` workers starts once a second chunk is
@@ -310,66 +378,60 @@ def _run_chunks(payloads: Iterator, jobs: int) -> Iterator[tuple]:
     """
     head = list(islice(payloads, 2))
     if jobs == 1 or len(head) < 2:
-        for payload in chain(head, payloads):
-            yield payload, _scan_chunk(payload)
+        yield from map(_scan_chunk, chain(head, payloads))
         return
     payloads = chain(head, payloads)
     with Pool(jobs) as pool:
         def submit(payload):
-            return payload, pool.apply_async(_scan_chunk, (payload,))
+            return pool.apply_async(_scan_chunk, (payload,))
 
         window = deque(map(submit, islice(payloads, 2 * jobs)))
         while window:
-            payload, pending = window.popleft()
-            result = pending.get()
+            result = window.popleft().get()
             # refill first, so the workers stay busy while the result is
             # assembled here
             window.extend(map(submit, islice(payloads, 1)))
-            yield payload, result
+            yield result
 
 
-def _record_texts(payload):
-    """A function from positions in the chunk ``payload`` to the graph6
-    texts of the records there."""
-    if payload[0] == "g6":
-        lines = payload[4].split("\n")
-        return lambda positions: [lines[p].strip() for p in positions]
-    n, start = payload[3], payload[4]
-    return lambda positions: encode_graph6_batch(
-        n, bit_rows(n, [start + p for p in positions]))
+def _extend(section: _Section, blocks: list, limit: int) -> None:
+    """Store the first ``limit`` items of (count, marshalled columns)
+    blocks in ``section``."""
+    for count, data in blocks:
+        if count > limit:
+            if limit > 0:
+                section.append(*(column[:limit] for column in marshal.loads(data)))
+            return
+        section.append_block(count, data)
+        limit -= count
 
 
-def _assemble(payloads: Iterator, checks: tuple[str, ...], jobs: int,
-              progress: bool, started: float, chunks: int | None = None) -> ScanSummary:
-    """Fold the chunk results into one summary; ``chunks`` is the chunk
-    count when it is known ahead, for the progress lines."""
+def _assemble(chunks: Iterator, checks: tuple[str, ...], tol: float, jobs: int,
+              progress: bool, started: float, total: int | None = None) -> ScanSummary:
+    """Scan the chunks and fold their results into one summary; ``total``
+    is the chunk count when it is known ahead, for the progress lines."""
     records = 0
     violations = _Section(Violation)
     near_count = 0
     near = _Section(NearEquality)
     errors = _Section(RecordError)
-    for done, (payload, (count, events, errs)) in enumerate(
+    first = 1
+    # a payload is made as it is sent, with how many near events can still
+    # be listed; a chunk sent before the results ahead of it came back may
+    # return more than that, and the rest are only counted
+    payloads = ((checks, tol, NEAR_CAP - len(near), *chunk) for chunk in chunks)
+    for done, (lines, count, near_found, listed, near_listed, errs) in enumerate(
             _run_chunks(payloads, jobs), start=1):
         records += count
-        pos, check, k, margin, violation = events
-        near_at = np.flatnonzero(~violation)
-        near_count += len(near_at)
-        # only the listed events get their record's text, a slice at a
-        # time; the other near events are counted
-        listed = ((violations, np.flatnonzero(violation)),
-                  (near, near_at[:max(NEAR_CAP - len(near), 0)]))
-        if any(len(at) for _, at in listed):
-            texts = _record_texts(payload)
-            for section, at in listed:
-                for start in range(0, len(at), SLICE):
-                    part = at[start:start + SLICE]
-                    section.append(texts(pos[part].tolist()),
-                                   [checks[c] for c in check[part].tolist()],
-                                   k[part].tolist(), margin[part].tolist())
+        near_count += near_found
+        _extend(violations, listed, sys.maxsize)
+        _extend(near, near_listed, NEAR_CAP - len(near))
         for start in range(0, len(errs), SLICE):
-            errors.append(*zip(*errs[start:start + SLICE]))
+            offsets, messages = zip(*errs[start:start + SLICE])
+            errors.append([first + i for i in offsets], messages)
+        first += lines
         if progress:
-            seen = f"{done}/{chunks} chunks" if chunks else f"{done} chunks, {records} records"
+            seen = f"{done}/{total} chunks" if total else f"{done} chunks, {records} records"
             print(f"progress: {seen}", file=sys.stderr)
     return ScanSummary(
         records=records,
@@ -390,16 +452,18 @@ def scan_graph6_lines(lines: Iterable[str] | Iterable[bytes], *,
     """Scan a stream of graph6 lines; blank lines are skipped but counted
     for error line numbers.
 
-    ``lines`` are str, one line each with or without its newline, or bytes
-    lines as a binary file yields them, which are decoded as UTF-8 with
-    surrogateescape.  str items split like ``str.splitlines``, as bytes
-    are, so a text-mode file, a binary file and the command line number
-    the same lines.  They are read lazily, a chunk at a time.
+    ``lines`` is a binary stream (``io.BufferedIOBase`` or
+    ``io.RawIOBase``, such as a file opened "rb"), read in blocks of at
+    most ``CHUNK_BYTES``; or str items, one line each with or without its
+    newline, or bytes lines as a binary file yields them.  Bytes are
+    decoded as UTF-8 with surrogateescape, and every form splits like
+    ``str.splitlines``, so a text-mode file, a binary file and the command
+    line number the same lines.  They are read lazily, a chunk at a time.
     """
     started = time.monotonic()
     checks = _validate_checks(checks)
     jobs = _resolve_jobs(jobs)
-    return _assemble(_stream_chunks(lines, checks, tol), checks, jobs, progress, started)
+    return _assemble(_stream_chunks(lines), checks, tol, jobs, progress, started)
 
 
 def scan_all_graphs(n: int, *, checks: Iterable[str] = ("brouwer",),
@@ -412,6 +476,5 @@ def scan_all_graphs(n: int, *, checks: Iterable[str] = ("brouwer",),
     checks = _validate_checks(checks)
     jobs = _resolve_jobs(jobs)
     total = 1 << (n * (n - 1) // 2)
-    payloads = (("gen", checks, tol, n, a, min(a + CHUNK, total))
-                for a in range(0, total, CHUNK))
-    return _assemble(payloads, checks, jobs, progress, started, -(-total // CHUNK))
+    chunks = (("gen", n, a, min(a + CHUNK, total)) for a in range(0, total, CHUNK))
+    return _assemble(chunks, checks, tol, jobs, progress, started, -(-total // CHUNK))

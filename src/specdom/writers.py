@@ -1,4 +1,4 @@
-"""Streamed writers: ``analyze``'s reports and ``search --json``.
+"""Streamed writers of ``analyze``'s reports.
 
 ``analyze`` decodes its whole input before it writes anything, so a bad
 record leaves stdout empty.  Its input is graph6 lines (an edge-list file
@@ -9,12 +9,10 @@ and every record is written, in input order, as soon as it is read off
 its stack's arrays.  No report object, dict or output string outlives
 its record.
 
-JSON is laid out here rather than by ``json.dumps(..., indent=2)`` of the
-whole payload, with the same bytes: ``json_object`` and ``json_list``
-nest value texts that are already laid out, and ``array_texts`` lays
-out an array one item at a time.  Only ``analyze`` and ``search --json`` load
-this module; ``json`` is imported only by the JSON writers and ``csv``
-only by the CSV writer.
+JSON is laid out by ``jsonlayout`` rather than by ``json.dumps(...,
+indent=2)`` of the whole payload, with the same bytes.  Only ``analyze``
+loads this module; ``json`` is imported only by the JSON writer and
+``csv`` only by the CSV writer.
 """
 
 from __future__ import annotations
@@ -22,11 +20,12 @@ from __future__ import annotations
 import heapq
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .builders import format_threshold
 from .dominance import ReportRow, _constructive_witnesses, report_rows
 from .graphs import CHUNK, Graph6Error, _g6_groups
+from .jsonlayout import _jfloat, array_texts, json_list, json_object
 from .spectra import CHECKS
 
 # numpy is imported after the package's own modules: loading it first
@@ -38,46 +37,6 @@ def _fmt(x: float) -> str:
     """12 significant digits, integers without an exponent."""
     return f"{x:.12g}"
 
-
-def _jfloat(x: float) -> str:
-    """JSON text of ``x`` rounded to 12 significant digits, as json.dumps
-    writes float(_fmt(x))."""
-    text = _fmt(x)
-    # a decimal of at most 12 digits with a point and no exponent is the
-    # shortest text of its float, so repr would return it unchanged
-    return text if "." in text and "e" not in text else repr(float(text))
-
-
-def json_list(items: list[str], depth: int) -> str:
-    """JSON array of item texts, laid out as json.dumps(indent=2) lays it
-    out ``depth`` levels deep; the items are laid out one level deeper."""
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
-
-
-def json_object(fields: list[tuple[str, str]], depth: int) -> str:
-    """JSON object of (key, value text) fields, laid out as ``json_list``
-    lays out an array; keys are plain names that need no escaping."""
-    if not fields:
-        return "{}"
-    pad = "\n" + "  " * (depth + 1)
-    return ("{" + pad + ("," + pad).join([f'"{key}": {value}' for key, value in fields])
-            + pad[:-2] + "}")
-
-
-def array_texts(items: Iterable[str], depth: int) -> Iterator[str]:
-    """``json_list`` in pieces: one per item, then the closing bracket."""
-    pad = "\n" + "  " * (depth + 1)
-    sep = "[" + pad
-    for item in items:
-        yield sep + item
-        sep = "," + pad
-    yield "[]" if sep[0] == "[" else pad[:-2] + "]"
-
-
-# analyze --------------------------------------------------------------------
 
 def _decode(parsed: list[str]) -> list[dict]:
     """The batches of stripped graph6 lines, each {n: (line indexes,
@@ -214,26 +173,3 @@ def write_reports(parsed: list[str], out, fmt: str, tol: float) -> None:
         for rid, row in records:
             out.write(sep + _report_text(rid, row))
             sep = "\n"
-
-
-# search --json --------------------------------------------------------------
-
-def summary_json(summary) -> Iterator[str]:
-    """A ScanSummary as json.dumps(indent=2) of its JSON form plus a
-    newline, in pieces: each listed event and error is one."""
-    from json.encoder import encode_basestring_ascii as json_str
-
-    def event_json(e) -> str:
-        return json_object([("id", json_str(e.record)), ("check", json_str(e.check)),
-                            ("k", str(e.k)), ("margin", _jfloat(e.margin))], 2)
-
-    checks = json_list([json_str(c) for c in summary.checks], 1)
-    yield f'{{\n  "records": {summary.records},\n  "checks": {checks},\n  "violations": '
-    yield from array_texts(map(event_json, summary.violations), 1)
-    yield f',\n  "near_equality_count": {summary.near_count},\n  "near_equality": '
-    yield from array_texts(map(event_json, summary.near), 1)
-    yield ',\n  "errors": '
-    yield from array_texts((json_object([("line", str(e.line)),
-                                         ("message", json_str(e.message))], 2)
-                            for e in summary.errors), 1)
-    yield "\n}\n"

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -21,10 +22,10 @@ from specdom import enumerate_threshold, scan_graph6_lines, std_constructive
 from specdom.builders import brouwer_extremal
 from specdom import scan
 from specdom.cli import main
-from specdom.graphs import (Graph, complete as complete_graph, cycle, encode_graph6,
-                            format_edge_list, from_edge_list, parse_edge_list)
+from specdom.graphs import (DEFAULT_TOL, Graph, complete as complete_graph, cycle,
+                            encode_graph6, format_edge_list, from_edge_list, parse_edge_list)
 from specdom.scan import MAX_JOBS
-from specdom.writers import _jfloat
+from specdom.jsonlayout import _jfloat
 
 C8 = "GhCGKC"
 K6_PLUS_2 = "G~~w??"
@@ -639,3 +640,13 @@ class TestEntryPoints:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "threshold: 8: 4 3 1" in proc.stdout
+
+    @pytest.mark.parametrize("command", ["analyze", "search"])
+    def test_tolerance_help_states_the_default(self, capsys, command):
+        # the command line states the default without importing graphs
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        stated = re.search(r"--tolerance TOLERANCE inequality tolerance \(default ([^)]+)\)",
+                           text)
+        assert stated and float(stated.group(1)) == DEFAULT_TOL

@@ -32,7 +32,8 @@ BUILD = sorted(BARE + ["specdom.builders", "specdom.enumeration", "specdom.graph
                        "specdom.partitions"])
 SEARCH = sorted(BARE + ["specdom.graphs", "specdom.scan", "specdom.spectra"])
 ANALYZE = sorted(BARE + ["specdom.builders", "specdom.dominance", "specdom.enumeration",
-                         "specdom.graphs", "specdom.spectra", "specdom.writers"])
+                         "specdom.graphs", "specdom.jsonlayout", "specdom.spectra",
+                         "specdom.writers"])
 
 PUBLIC_NAMES = [
     "BrouwerViolationError", "CheckReport", "ConjugateSequence",
@@ -98,11 +99,14 @@ def test_cli_import_loads_only_the_cli(run_python):
     (["build", "cycle-dominator", "8", "--json"], BUILD,
      ["dataclasses", "inspect", "json"]),
     (["search", "{k3}", "--jobs", "1"], SEARCH, ["dataclasses", "inspect", "numpy"]),
+    # the JSON layout, and none of analyze's code
+    (["search", "{k3}", "--jobs", "1", "--json"], sorted(SEARCH + ["specdom.jsonlayout"]),
+     ["dataclasses", "inspect", "json", "numpy"]),
     (["analyze", "{k3}"], ANALYZE, ["dataclasses", "inspect", "numpy"]),
     (["analyze", "{k3}", "--csv"], ANALYZE, ["dataclasses", "inspect", "csv", "numpy"]),
     (["analyze", "{k3}", "--json"], ANALYZE, ["dataclasses", "inspect", "json", "numpy"]),
 ], ids=["help", "enumerate", "enumerate-json", "build", "build-json", "search",
-        "analyze", "analyze-csv", "analyze-json"])
+        "search-json", "analyze", "analyze-csv", "analyze-json"])
 def test_each_command_loads_only_what_it_runs(run_python, tmp_path, argv,
                                               package, watched):
     k3 = tmp_path / "k3.g6"

@@ -1,6 +1,7 @@
 """Streaming and exhaustive scans: counters, events, exit codes, parallelism."""
 
 import hashlib
+import marshal
 import math
 import random
 import time
@@ -271,18 +272,16 @@ class TestSpooledSections:
         lines = [encode_graph6(Graph(5, mask)).encode() for mask in range(1024)]
         lines[3:3] = [b"D\x80\x80", b"##bad##"] * 15
         # the reference: the chunk's own event columns and errors
-        payload = next(scan._stream_chunks(lines, checks, tol))
-        _, (pos, check, k, margin, violation), errs = scan._scan_chunk(payload)
-        texts = payload[4].split("\n")
-        events = [(texts[p], checks[c], kk, mm.hex()) for p, c, kk, mm in
-                  zip(pos.tolist(), check.tolist(), k.tolist(), margin.tolist())]
-        flags = violation.tolist()
+        chunk = next(scan._stream_chunks(lines))
+        _, _, _, listed, near, errs = scan._scan_chunk((checks, tol, NEAR_CAP, *chunk))
+        events = [[(r, c, kk, mm.hex()) for _, data in blocks
+                   for r, c, kk, mm in zip(*marshal.loads(data))] for blocks in (listed, near)]
+        errs = [(line + 1, message) for line, message in errs]
         # ten items a block, the first few blocks of each section in memory
         monkeypatch.setattr(scan, "SLICE", 10)
         monkeypatch.setattr(scan, "SPOOL_BUDGET", 1000)
         s = scan_graph6_lines(lines, checks=checks, tol=tol)
-        for view, want in ((s.violations, [e for e, f in zip(events, flags) if f]),
-                           (s.near, [e for e, f in zip(events, flags) if not f])):
+        for view, want in zip((s.violations, s.near), events):
             assert len(view) == len(want) and bool(view) == bool(want)
             assert [(e.record, e.check, e.k, e.margin.hex()) for e in view] == want
             if not want:

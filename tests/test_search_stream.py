@@ -4,7 +4,9 @@ import functools
 import hashlib
 import importlib.util
 import io
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -197,6 +199,61 @@ class TestWindow:
         assert (out, rc) == (as_str.stdout_text().encode(), 2)
 
 
+# A CRLF line, a line holding byte 0x80, blank lines, two bad records and
+# no final newline; the near events of the triangle, K4 and C5 give stdout
+# more than counts.
+BUDGET_INPUT = b"Bw\nC~\r\nDhc\nB\x80w\n\nC~\n##bad##\nGhCGKC\r\n\nDhc"
+
+
+def as_str_lines(data):
+    """The same input as str lines, as a text-mode file yields them."""
+    return data.decode("utf-8", "surrogateescape").splitlines(keepends=True)
+
+
+def scan_facts(summary):
+    return summary.stdout_text(), [e.line for e in summary.errors], summary.exit_code
+
+
+class TestByteBudget:
+    # the byte offset where the first chunk's budget ends, and where that
+    # chunk is cut: after the last newline before the budget
+    @pytest.mark.parametrize("budget, cut", [
+        (BUDGET_INPUT.index(b"\r\n") + 1, BUDGET_INPUT.index(b"C~\r")),
+        (BUDGET_INPUT.index(b"\x80") + 3, BUDGET_INPUT.index(b"\x80") + 3),
+        (BUDGET_INPUT.index(b"\n\n") + 1, BUDGET_INPUT.index(b"\n\n") + 1),
+        (BUDGET_INPUT.index(b"\n\n") + 2, BUDGET_INPUT.index(b"\n\n") + 2),
+        (len(BUDGET_INPUT) - 2, BUDGET_INPUT.rindex(b"\n") + 1),
+    ], ids=["inside-crlf", "after-0x80-line", "before-blank", "after-blank",
+            "in-final-line"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cut_at_the_budget(self, monkeypatch, tmp_path, budget, cut, jobs):
+        monkeypatch.setattr(scan, "CHUNK_BYTES", budget)
+        chunks = [data for _, data in scan._stream_chunks(io.BytesIO(BUDGET_INPUT))]
+        assert chunks[0] == BUDGET_INPUT[:cut] and b"".join(chunks) == BUDGET_INPUT
+        want = scan_facts(scan_graph6_lines(as_str_lines(BUDGET_INPUT), checks=CHECKS.split(",")))
+        assert want[1] == [4, 7]
+        got = scan_graph6_lines(io.BytesIO(BUDGET_INPUT), checks=CHECKS.split(","), jobs=jobs)
+        assert scan_facts(got) == want
+        path = tmp_path / "budget.g6"
+        path.write_bytes(BUDGET_INPUT)
+        rc, out = run_search(["search", str(path), "--check", CHECKS, "--jobs", str(jobs)])
+        assert (out.decode(), rc) == (want[0], want[2])
+
+    @pytest.mark.parametrize("lines", [2, CHUNK])
+    def test_every_budget(self, monkeypatch, lines):
+        # a budget below a line's length makes that line a chunk of its own
+        want = scan_facts(scan_graph6_lines(as_str_lines(BUDGET_INPUT), checks=CHECKS.split(",")))
+        monkeypatch.setattr(scan, "CHUNK", lines)
+        for budget in range(1, len(BUDGET_INPUT) + 2):
+            monkeypatch.setattr(scan, "CHUNK_BYTES", budget)
+            chunks = [data for _, data in scan._stream_chunks(io.BytesIO(BUDGET_INPUT))]
+            assert b"".join(chunks) == BUDGET_INPUT
+            assert all(c.endswith(b"\n") and c.count(b"\n") <= lines for c in chunks[:-1])
+            assert all(len(c) <= budget or c.count(b"\n") <= 1 for c in chunks)
+            got = scan_graph6_lines(io.BytesIO(BUDGET_INPUT), checks=CHECKS.split(","))
+            assert scan_facts(got) == want, budget
+
+
 # Spawns the program from this small process and prints its max-RSS in KiB:
 # on Linux a program's max-RSS starts at that of the process that spawned
 # it, which would be the test runner's without this step.
@@ -297,3 +354,41 @@ def test_listed_events_do_not_grow_memory(run_python, tmp_path, line, chunks, op
         assert peak < 1.1 * base, (fmt, peak, base)
         # recorded from the scan that kept one object per listed event
         assert sha == pin
+
+
+def n400_records(count):
+    """Seeded random graph6 records on 400 nodes, 13.3 KB a line, as bytes."""
+    rng = random.Random(400)
+    return [encode_graph6(Graph(400, rng.getrandbits(400 * 399 // 2))).encode()
+            for _ in range(count)]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB on Linux")
+def test_large_graph_peak_does_not_grow_with_records(run_python, tmp_path):
+    # chunks of 4,096 lines once held every record's bit rows: 16 records
+    # peaked at 46 MB and 128 at 62 MB
+    records = n400_records(128)
+    peaks = []
+    for count in (16, 128):
+        path = tmp_path / f"{count}.g6"
+        path.write_bytes(b"".join(r + b"\n" for r in records[:count]))
+        peaks.append(spawn_cli(run_python, tmp_path / "out", "search", str(path),
+                               "--check", CHECKS, "--jobs", "1")[0])
+    assert peaks[1] - peaks[0] < 4.0, peaks
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["search", "--check", CHECKS]],
+                         ids=["analyze", "search"])
+def test_large_graph_output_does_not_depend_on_blas_threads(tmp_path, command):
+    # the seventh record printed margin 1.45519152284e-11 at k = 399 for gmb
+    # and std under two BLAS threads, and margin 0 under one
+    path = tmp_path / "n400.g6"
+    path.write_bytes(n400_records(7)[-1] + b"\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    argv = [sys.executable, "-m", "specdom.cli", command[0], str(path), *command[1:]]
+    unset = subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+    pinned = subprocess.run(argv, env={**env, "OPENBLAS_NUM_THREADS": "1"},
+                            capture_output=True, check=True).stdout
+    assert pinned == unset
