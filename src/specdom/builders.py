@@ -12,22 +12,18 @@ dominators for split graphs and cycles, pineapples, and merges that add
 diagrams columnwise.
 
 Threshold graphs are listed by edge count in ``enumeration``, which
-``enumerate-threshold`` loads without this module; ``threshold_columns``,
-``threshold_count`` and the enumeration's text helpers and block cache
-can be imported from here too.  ``partitions`` is imported only inside
-the functions that build a degree sequence.
+``enumerate-threshold`` loads without this module.  ``partitions`` is
+imported only inside the functions that build a degree sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from math import isqrt
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-# the enumeration's text helpers and block cache are read through this
-# module too
-from .enumeration import (_blocks, _check_edge_count, _json_records,  # noqa: F401
-                          _threshold_lines, threshold_columns, threshold_count)
+from .enumeration import _check_edge_count, threshold_columns
 from .graphs import Graph, from_edge_list
 
 if TYPE_CHECKING:
@@ -235,14 +231,12 @@ class ExtremalPlan:
 
 def _case1_cols(n: int, m: int) -> tuple[int, ...]:
     """Greedy fill below the diagonal: column i takes up to n - i boxes."""
-    cols = []
-    left = m
-    i = 1
-    while left > 0:
-        take = min(n - i, left)
-        cols.append(take)
-        left -= take
-        i += 1
+    cols, left = [], m
+    for cap in range(n - 1, 0, -1):
+        if left <= 0:
+            break
+        cols.append(min(cap, left))
+        left -= cap
     return tuple(cols)
 
 
@@ -264,11 +258,10 @@ def brouwer_extremal_plan(n: int, m: int, k: int) -> ExtremalPlan:
         h = (2 * m + k * (k + 1)) // (2 * k)
         r = m + k * (k + 1) // 2 - k * h
         return ExtremalPlan(2, h, r, bound)
-    # 2m wins: pack a staircase of h distinct column heights plus r spare boxes
-    h = 0
-    while (h + 1) * (h + 2) <= 2 * m:
-        h += 1
-    r = (2 * m - h * (h + 1)) // 2
+    # 2m wins: pack a staircase of h distinct column heights, the largest
+    # h with h(h+1)/2 <= m, plus r spare boxes
+    h = (isqrt(8 * m + 1) - 1) // 2
+    r = m - h * (h + 1) // 2
     return ExtremalPlan(3, h, r, bound)
 
 
@@ -280,16 +273,15 @@ def brouwer_extremal(n: int, m: int, k: int) -> ThresholdGraph:
 
 def _extremal_cols(n: int, m: int, k: int, plan: ExtremalPlan) -> tuple[int, ...]:
     """Columns of ``brouwer_extremal(n, m, k)`` from its plan; in cases 1
-    and 3 they depend on (n, m) alone."""
+    and 3 they depend on (n, m) alone.  Column i's head c_i + i is the
+    i-th eigenvalue: in case 2 the k heads are h + 1 (r times) then h, in
+    case 3 the h heads are h + 2 (r times) then h + 1, and r follows."""
     if plan.case == 1:
         return _case1_cols(n, m)
     h, r = plan.h, plan.r
     if plan.case == 2:
-        conj = [h + 1] * r + [h] * (k - r)
-    else:
-        # at m = 0 this is [0], which leaves no column
-        conj = [h + 2] * r + [h + 1] * (h - r) + [r]
-    return tuple(conj[i] - (i + 1) for i in range(len(conj)) if conj[i] - (i + 1) > 0)
+        return (*range(h, h - r, -1), *range(h - r - 1, h - k - 1, -1))
+    return (*range(h + 1, h + 1 - r, -1), *range(h - r, 0, -1))
 
 
 def union_merge(parts: Iterable[ThresholdGraph]) -> ThresholdGraph:

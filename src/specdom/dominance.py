@@ -4,12 +4,13 @@ A graph is spectrally threshold dominated when for every k some threshold
 graph with the same node and edge counts has first-k eigenvalue sum at
 least as large.  Two routes certify this:
 
-  * constructive: per k, an explicit extremal threshold graph whose
-    prefix sum equals min(k*n, m + k(k+1)/2, 2m);
+  * constructive: per k, the extremal threshold graph of the plan
+    ``builders.brouwer_extremal_plan``, whose prefix sum equals
+    min(k*n, m + k(k+1)/2, 2m) by one integer check, with no spectrum;
   * oracle: enumerate every threshold graph with the same (n, m) and take
     true per-k maxima (guarded, small cases only).
 
-The per-k maxima of the two routes must agree exactly; disagreement is a
+The oracle's maxima must equal the plans' bounds exactly; disagreement is a
 theorem violation and raises rather than degrading into a verdict.  The
 energy route picks the extremal witness at k* (the number of eigenvalues
 above the mean 2m/n), whose Laplacian energy then dominates the graph's.
@@ -123,27 +124,27 @@ def threshold_energy(t: ThresholdGraph) -> float:
 
 @lru_cache(maxsize=4096)
 def _constructive_witnesses(n: int, m: int) -> tuple[DominanceWitness, ...]:
-    """Extremal witness per k, with prefix sums checked against the formula.
+    """Extremal witness per k: its plan's columns, prefix sum ``plan.bound``.
 
-    Each k takes one plan.  Case 1 and case 3 witnesses depend on (n, m)
-    alone, so each is built as a ThresholdGraph, and so validated, once.
+    One integer check per k, which raises if it fails, confirms that the
+    columns reach the bound: case 1's greedy fill has k full columns, case
+    2's k column heads are the first k eigenvalues (h > k), and case 3 has
+    no nonzero eigenvalue past k.  Case 1 and 3 columns are filled once.
     """
-    built: dict = {}
+    fills: dict = {}
     out = []
     for k in range(1, n + 1):
         plan = brouwer_extremal_plan(n, m, k)
-        key = (2, k) if plan.case == 2 else plan.case
-        if key not in built:
-            t = ThresholdGraph(n, _extremal_cols(n, m, k, plan))
-            built[key] = t.cols, t.spectrum_prefix()
-        cols, prefix = built[key]
-        pref = prefix[k - 1]
-        if pref != plan.bound:
+        case, h, r = plan.case, plan.h, plan.r
+        if not (k < n and k * n <= m + k * (k + 1) // 2 if case == 1
+                else h > k if case == 2 else h + (r > 0) <= k):
             raise AssertionError(
-                f"extremal threshold graph reaches {pref} at k={k}, "
-                f"formula says {plan.bound} (n={n}, m={m})"
+                f"case {case} plan (h={h}, r={r}) does not reach its bound "
+                f"{plan.bound} at k={k} (n={n}, m={m})"
             )
-        out.append(DominanceWitness(k, cols, pref))
+        if case == 2 or case not in fills:
+            fills[case] = _extremal_cols(n, m, k, plan)
+        out.append(DominanceWitness(k, fills[case], plan.bound))
     return tuple(out)
 
 

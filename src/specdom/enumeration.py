@@ -141,12 +141,6 @@ def _threshold_text(n: int, ms: Iterable[int]) -> Iterator[str]:
         yield "".join(pieces)
 
 
-def _threshold_lines(n: int, m: int) -> str:
-    """``format_threshold`` of every ``threshold_columns(n, m)`` record,
-    one per line."""
-    return next(_threshold_text(n, (m,))) + "\n"
-
-
 # A piece's lines "\n c1 c2 ..." become JSON lists by one chained replace:
 # each " c" opens an item, and each line's newline then closes the list
 # before and opens its own.
@@ -177,12 +171,6 @@ def _json_text(n: int, ms: Iterable[int]) -> Iterator[str]:
             yield piece
     if not cut:
         yield _CLOSE
-
-
-def _json_records(n: int, m: int) -> str:
-    """``_json_text`` of one edge count as one string, without its
-    leading newline."""
-    return "".join(_json_text(n, (m,)))[1:]
 
 
 @lru_cache(maxsize=None)

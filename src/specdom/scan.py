@@ -6,9 +6,10 @@ to ``graphs``, and the Laplacian and the margins to ``spectra``.
 
 The stream is cut into chunks lazily, as the scan needs them.  A binary
 stream, the command line's file or stdin, is read into a bytes buffer and
-cut after a newline found there by numpy: a chunk ends after CHUNK lines
-or at ``CHUNK_BYTES`` bytes, whichever comes first, so no line becomes
-an object in this process and a chunk of large graphs holds only a few.
+cut after a line end (a newline or a lone CR) found there by numpy: a
+chunk ends after CHUNK lines or at ``CHUNK_BYTES`` bytes, whichever comes
+first, so no line becomes an object in this process and a chunk of large
+graphs holds only a few.
 Other iterables, of str or bytes lines, go CHUNK items to a chunk, each
 item given a final newline.  The chunk's text travels as is; the worker
 decodes bytes as UTF-8 with surrogateescape, splits the text by
@@ -327,15 +328,23 @@ def _stream_chunks(lines: Iterable) -> Iterator[tuple]:
             yield "g6", "\n".join(map(str.removesuffix, chunk, repeat("\n"))) + "\n"
 
 
-def _byte_chunks(stream) -> Iterator[tuple]:
-    """A binary stream's chunks, ("g6", bytes): each ends after a newline
-    or at the end of the stream, and holds at most CHUNK newlines and at
-    most CHUNK_BYTES bytes, unless its one line is longer.
+def _line_ends(buf: bytes):
+    """Offsets of the bytes in ``buf`` that surely end a line: each newline,
+    and each CR whose next byte is in ``buf`` and is not a newline."""
+    codes = np.frombuffer(buf, np.uint8)
+    ends = codes == 10
+    ends[:-1] |= (codes[:-1] == 13) & (codes[1:] != 10)
+    return np.flatnonzero(ends)
 
-    The newlines are found by numpy in a buffer, so no line becomes an
-    object here.  A newline byte decodes to a line break, also after an
-    invalid byte, and ends any line break it is part of (CR LF), so a cut
-    after it splits no line.
+
+def _byte_chunks(stream) -> Iterator[tuple]:
+    """A binary stream's chunks, ("g6", bytes): each ends after a line end
+    of ``_line_ends`` or at the end of the stream, and holds at most CHUNK
+    line ends and at most CHUNK_BYTES bytes, unless its one line is longer.
+
+    The line ends are found by numpy in a buffer, so no line becomes an
+    object here.  Each decodes to a line break, also after an invalid
+    byte, and ends any line break it is part of, so no cut splits a line.
     """
     buf, eof = b"", False
     while True:
@@ -345,7 +354,7 @@ def _byte_chunks(stream) -> Iterator[tuple]:
             buf += block
         if not buf:
             return
-        ends = np.flatnonzero(np.frombuffer(buf, np.uint8) == 10)
+        ends = _line_ends(buf)
         if len(ends) >= CHUNK:
             cut = int(ends[CHUNK - 1]) + 1
         elif eof:
@@ -353,9 +362,17 @@ def _byte_chunks(stream) -> Iterator[tuple]:
         elif len(ends):
             cut = int(ends[-1]) + 1
         else:
-            # a line longer than the budget is a chunk of its own
-            buf += stream.readline()
-            cut = len(buf)
+            # a line longer than the budget is a chunk of its own; a CR
+            # that ends the last part read is a line end unless LF follows
+            parts, cut = [buf], len(buf)
+            while block := stream.read(CHUNK_BYTES):
+                ends = _line_ends(parts[-1][-1:] + block)
+                parts.append(block)
+                if len(ends):
+                    cut += int(ends[0])
+                    break
+                cut += len(block)
+            buf = b"".join(parts)
         yield "g6", buf[:cut]
         buf = buf[cut:]
 

@@ -1,5 +1,7 @@
 """Dominance reports, enumeration, the oracle table, and energy search."""
 
+import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -13,8 +15,10 @@ from specdom import (BrouwerViolationError, ThresholdGraph, energy_witness,
                      std_oracle, threshold_columns, threshold_count,
                      threshold_energy)
 from specdom import builders, dominance, spectra
-from specdom.builders import brouwer_extremal, format_threshold, threshold_spectrum
+from specdom.builders import (ExtremalPlan, brouwer_extremal, format_threshold,
+                              threshold_spectrum)
 from specdom.cli import main
+from specdom.enumeration import _blocks, _json_text, _threshold_text
 from specdom.graphs import (Graph, complete_plus_isolated, cycle,
                             from_edge_list)
 from specdom.partitions import conjugate_counts
@@ -22,6 +26,35 @@ from specdom.partitions import conjugate_counts
 
 def effective_bound(n, m, k):
     return min(k * n, m + k * (k + 1) // 2, 2 * m)
+
+
+# sha256 of the reprs of ``_constructive_witnesses(n, m)`` for n = 1..30 and
+# m = 0..n(n-1)/2 in that order; the witnesses are part of every report
+WITNESS_DIGEST = "225d2be663373ebc461716855cce573585705204e3e0bb7885859c8f1c51c64b"
+
+
+def check_witness_spectra(n, m):
+    """Each witness of the (n, m) table, through ``threshold_spectrum``:
+    a threshold graph with m edges whose prefix at k is the bound."""
+    spectra_of = {}
+    for w in dominance._constructive_witnesses(n, m):
+        if w.cols not in spectra_of:
+            assert ThresholdGraph(n, w.cols).m == m, (n, m, w.k)
+            spectra_of[w.cols] = threshold_spectrum(n, w.cols)
+        prefix = sum(spectra_of[w.cols][:w.k])
+        assert prefix == w.prefix_sum == effective_bound(n, m, w.k), (n, m, w.k)
+
+
+def threshold_lines(n, m):
+    """``format_threshold`` of every ``threshold_columns(n, m)`` record,
+    one per line, from the enumeration's text form."""
+    return next(_threshold_text(n, (m,))) + "\n"
+
+
+def json_records(n, m):
+    """The enumeration's JSON form of one edge count as one string,
+    without its leading newline."""
+    return "".join(_json_text(n, (m,)))[1:]
 
 
 def sampled_edge_counts(n):
@@ -77,7 +110,7 @@ class TestEnumeration:
     def test_blocks_equal_per_record_lines(self):
         for n in range(1, 15):
             for m in range(n * (n - 1) // 2 + 1):
-                assert builders._threshold_lines(n, m) == "".join(
+                assert threshold_lines(n, m) == "".join(
                     format_threshold(n, c) + "\n"
                     for c in threshold_columns(n, m)), (n, m)
 
@@ -88,7 +121,7 @@ class TestEnumeration:
         cases = [(n, m) for n in range(15, 19) for m in range(n * (n - 1) // 2 + 1)]
         cases += [(n, m) for n in (19, 20) for m in sampled_edge_counts(n)]
         for n, m in cases:
-            assert builders._threshold_lines(n, m) == "".join(
+            assert threshold_lines(n, m) == "".join(
                 format_threshold(n, c) + "\n"
                 for c in threshold_columns(n, m)), (n, m)
 
@@ -96,21 +129,21 @@ class TestEnumeration:
         for n in range(15, 18):
             for m in sampled_edge_counts(n):
                 # each record as an item of the top-level "records" array
-                assert builders._json_records(n, m) == ",\n".join(
+                assert json_records(n, m) == ",\n".join(
                     "    " + json.dumps(list(c), indent=2).replace("\n", "\n    ")
                     for c in threshold_columns(n, m)), (n, m)
 
     @pytest.mark.parametrize("n, m", [(0, 0), (4, 7), (4, -1)])
     def test_blocks_reject_what_columns_reject(self, n, m):
         with pytest.raises(ValueError):
-            builders._threshold_lines(n, m)
+            threshold_lines(n, m)
         with pytest.raises(ValueError):
             next(threshold_columns(n, m))
 
     def test_block_cache_stays_small(self, capsys):
         assert main(["enumerate-threshold", "20"]) == 0
         assert capsys.readouterr().out.endswith("count: 524288\n")
-        cached = sum(sys.getsizeof(b) for b in builders._blocks.values())
+        cached = sum(sys.getsizeof(b) for b in _blocks.values())
         assert 0 < cached < 1_000_000
 
 
@@ -172,6 +205,57 @@ class TestStdReports:
                     dominance.DominanceWitness(k, brouwer_extremal(n, m, k).cols,
                                                effective_bound(n, m, k))
                     for k in range(1, n + 1)), (n, m)
+
+    def test_witness_prefixes_reach_the_bound_through_n24(self):
+        for n in range(1, 25):
+            for m in range(n * (n - 1) // 2 + 1):
+                check_witness_spectra(n, m)
+
+    def test_witness_prefixes_reach_the_bound_to_n512(self):
+        rng = random.Random(512)
+        pairs = [(512, 17_611), (512, 65_001), (512, 105_154), (512, 130_816)]
+        for _ in range(12):
+            n = rng.randint(25, 512)
+            pairs.append((n, rng.randint(0, n * (n - 1) // 2)))
+        for n, m in pairs:
+            check_witness_spectra(n, m)
+
+    def test_witness_tables_are_pinned_through_n30(self):
+        digest = hashlib.sha256()
+        for n in range(1, 31):
+            for m in range(n * (n - 1) // 2 + 1):
+                digest.update(repr(dominance._constructive_witnesses(n, m)).encode())
+        assert digest.hexdigest() == WITNESS_DIGEST
+
+    def test_witness_tables_build_no_spectrum(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a witness table built a threshold graph or spectrum")
+
+        for module in (dominance, builders):
+            monkeypatch.setattr(module, "ThresholdGraph", refuse)
+            monkeypatch.setattr(module, "threshold_spectrum", refuse)
+        for n, m in ((1, 0), (8, 12), (30, 0), (30, 435), (512, 17_611), (512, 105_154)):
+            table = dominance._constructive_witnesses.__wrapped__(n, m)
+            assert [w.prefix_sum for w in table] == [
+                effective_bound(n, m, k) for k in range(1, n + 1)]
+
+    @pytest.mark.parametrize("at, wrong", [
+        (2, {"case": 1}), (2, {"case": 3}), (2, {"h": 2}), (5, {"h": 5})])
+    def test_a_plan_short_of_its_bound_raises(self, monkeypatch, at, wrong):
+        # at (8, 12) the plan at k = 2 is case 2 with h = 7, r = 1, and at
+        # k = 5 case 3 with h = 4, r = 2; each change breaks the condition
+        # under which the plan's columns reach its bound
+        plan_of = dominance.brouwer_extremal_plan
+
+        def bent(n, m, k):
+            plan = plan_of(n, m, k)
+            return dataclasses.replace(plan, **wrong) if k == at else plan
+
+        assert plan_of(8, 12, 2) == ExtremalPlan(2, 7, 1, 15)
+        assert plan_of(8, 12, 5) == ExtremalPlan(3, 4, 2, 24)
+        monkeypatch.setattr(dominance, "brouwer_extremal_plan", bent)
+        with pytest.raises(AssertionError, match=f"k={at}"):
+            dominance._constructive_witnesses.__wrapped__(8, 12)
 
     def test_witnesses_have_matching_size(self):
         rep = std_constructive(cycle(7))

@@ -205,6 +205,10 @@ class TestWindow:
 BUDGET_INPUT = b"Bw\nC~\r\nDhc\nB\x80w\n\nC~\n##bad##\nGhCGKC\r\n\nDhc"
 
 
+# BUDGET_INPUT's lines, ended by lone CRs but for two CRLFs, and a final CR
+LONE_CR_INPUT = b"Bw\rC~\r\nDhc\rB\x80w\r\rC~\r##bad##\rGhCGKC\r\n\rDhc\r"
+
+
 def as_str_lines(data):
     """The same input as str lines, as a text-mode file yields them."""
     return data.decode("utf-8", "surrogateescape").splitlines(keepends=True)
@@ -252,6 +256,36 @@ class TestByteBudget:
             assert all(len(c) <= budget or c.count(b"\n") <= 1 for c in chunks)
             got = scan_graph6_lines(io.BytesIO(BUDGET_INPUT), checks=CHECKS.split(","))
             assert scan_facts(got) == want, budget
+
+
+    @pytest.mark.parametrize("lines", [2, CHUNK])
+    def test_lone_cr_ends_a_chunk(self, monkeypatch, lines):
+        want = scan_facts(scan_graph6_lines(as_str_lines(LONE_CR_INPUT), checks=CHECKS.split(",")))
+        assert want[1] == [4, 7]
+        monkeypatch.setattr(scan, "CHUNK", lines)
+        for budget in range(1, len(LONE_CR_INPUT) + 2):
+            monkeypatch.setattr(scan, "CHUNK_BYTES", budget)
+            chunks = [data for _, data in scan._stream_chunks(io.BytesIO(LONE_CR_INPUT))]
+            assert b"".join(chunks) == LONE_CR_INPUT
+            for chunk, after in zip(chunks, chunks[1:]):
+                # a chunk ends on a line end, and never inside a CR LF
+                assert chunk.endswith((b"\n", b"\r")) and not after.startswith(b"\n")
+            assert all(len(c.splitlines()) <= lines for c in chunks)
+            assert all(len(c) <= budget or len(c.splitlines()) <= 1 for c in chunks)
+            got = scan_graph6_lines(io.BytesIO(LONE_CR_INPUT), checks=CHECKS.split(","))
+            assert scan_facts(got) == want, budget
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_lone_cr_input_at_any_jobs(self, monkeypatch, tmp_path, jobs):
+        want = scan_facts(scan_graph6_lines(as_str_lines(LONE_CR_INPUT), checks=CHECKS.split(",")))
+        monkeypatch.setattr(scan, "CHUNK_BYTES", 12)
+        assert len(list(scan._stream_chunks(io.BytesIO(LONE_CR_INPUT)))) > 2
+        got = scan_graph6_lines(io.BytesIO(LONE_CR_INPUT), checks=CHECKS.split(","), jobs=jobs)
+        assert scan_facts(got) == want
+        path = tmp_path / "lone-cr.g6"
+        path.write_bytes(LONE_CR_INPUT)
+        rc, out = run_search(["search", str(path), "--check", CHECKS, "--jobs", str(jobs)])
+        assert (out.decode(), rc) == (want[0], want[2])
 
 
 # Spawns the program from this small process and prints its max-RSS in KiB:
